@@ -62,9 +62,10 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    canon_numerals,
+    canonical_key,
+    succ_entry,
     numeral_value,
-    semantic_eq,
+    spell,
 )
 
 Expr = Term | Formula
@@ -90,7 +91,6 @@ Token = tuple
 SCHEMES = ("mendelson", "compact")
 SEQ_ENCODINGS = ("prime", "pairing")
 
-_MAX_DEPTH = 500  # nesting cap for decoded expressions
 _MAX_PRIMES = 10_000  # factorisation cap for decoded sequences
 
 
@@ -222,68 +222,51 @@ def variable_code(index: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
 # official token streams
 
 
+def _numeral_token(n: int) -> Token:
+    return ZERO_CONST if n == 0 else ("numrun", n)
+
+
+def _applied(symbol: Symbol):
+    # symbol ( left , right )
+    def entry(e, out: list) -> list:
+        out += (symbol, LPAREN)
+        return [RPAREN, e.right, COMMA, e.left]
+
+    return entry
+
+
+def _negation(e: Not, out: list) -> list:
+    out += (LPAREN, NEG)
+    return [RPAREN, e.body]
+
+
+def _implication(e: Implies, out: list) -> list:
+    out.append(LPAREN)
+    return [RPAREN, e.right, IMP, e.left]
+
+
+def _generalization(e: ForAll, out: list) -> list:
+    out += (LPAREN, LPAREN, FORALL, ("var", e.index), RPAREN)
+    return [RPAREN, e.body]
+
+
+_OFFICIAL = {
+    Var: lambda e, out: out.append(("var", e.index)),
+    Zero: lambda e, out: out.append(ZERO_CONST),
+    BigNumeral: lambda e, out: out.append(_numeral_token(e.value)),
+    Succ: succ_entry([SUCC_FN, LPAREN], [RPAREN], _numeral_token),
+    Add: _applied(ADD_FN),
+    Mul: _applied(MUL_FN),
+    Eq: _applied(EQ_PRED),
+    Not: _negation,
+    Implies: _implication,
+    ForAll: _generalization,
+}
+
+
 def official_tokens(e: Expr) -> list[Token]:
     """The official symbol string of e, with numerals kept as runs."""
-    out: list[Token] = []
-    _tokens(e, out)
-    return out
-
-
-def _tokens(e: Expr, out: list[Token]) -> None:
-    if isinstance(e, Term):
-        value = numeral_value(e)
-        if value is not None:
-            out.append(ZERO_CONST if value == 0 else ("numrun", value))
-            return
-        if isinstance(e, Var):
-            out.append(("var", e.index))
-            return
-        if isinstance(e, Succ):
-            depth = 0
-            while isinstance(e, Succ):
-                out.append(SUCC_FN)
-                out.append(LPAREN)
-                depth += 1
-                e = e.arg
-            _tokens(e, out)
-            out.extend([RPAREN] * depth)
-            return
-        if isinstance(e, (Add, Mul)):
-            out.append(ADD_FN if isinstance(e, Add) else MUL_FN)
-            out.append(LPAREN)
-            _tokens(e.left, out)
-            out.append(COMMA)
-            _tokens(e.right, out)
-            out.append(RPAREN)
-            return
-        raise TypeError(f"not a term: {e!r}")
-    if isinstance(e, Eq):
-        out.append(EQ_PRED)
-        out.append(LPAREN)
-        _tokens(e.left, out)
-        out.append(COMMA)
-        _tokens(e.right, out)
-        out.append(RPAREN)
-        return
-    if isinstance(e, Not):
-        out.append(LPAREN)
-        out.append(NEG)
-        _tokens(e.body, out)
-        out.append(RPAREN)
-        return
-    if isinstance(e, Implies):
-        out.append(LPAREN)
-        _tokens(e.left, out)
-        out.append(IMP)
-        _tokens(e.right, out)
-        out.append(RPAREN)
-        return
-    if isinstance(e, ForAll):
-        out.extend([LPAREN, LPAREN, FORALL, ("var", e.index), RPAREN])
-        _tokens(e.body, out)
-        out.append(RPAREN)
-        return
-    raise TypeError(f"not a term or formula: {e!r}")
+    return spell(e, _OFFICIAL)
 
 
 def token_symbol_length(tokens: list[Token]) -> int:
@@ -324,7 +307,11 @@ def _normalize_tokens(tokens: list[Token]) -> list[Token]:
                 value = 0
             elif core is not None and core[0] == "numrun":
                 value = core[1]
-            if value is not None and tokens[j + 1 : j + 1 + k] == [RPAREN] * k:
+            if value is None:  # no inner run can end in a numeral either
+                out.extend(tokens[i:j])
+                i = j
+                continue
+            if tokens[j + 1 : j + 1 + k] == [RPAREN] * k:
                 out.append(("numrun", value + k))
                 i = j + 1 + k
                 continue
@@ -364,124 +351,122 @@ def _expand_tokens(tokens: list[Token], config: NumberingConfig) -> list[Symbol]
 # token parsing (decode direction)
 
 
-class _TokenParser:
-    def __init__(self, tokens: list[Token], expand_max: int):
-        self.tokens = tokens
-        self.i = 0
-        self.expand_max = expand_max
+def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
+    """The expression whose official string is tokens.
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    Explicit-stack, like syntax.parse, so nesting is bounded by memory.
+    """
+    n = len(tokens)
+    if n == 0:
+        raise NotACodeError("empty official string")
 
-    def take(self, expected: Token, what: str) -> None:
-        if self.peek() != expected:
+    # Reads past the end, by up to the longest lookahead, give None.
+    toks = tokens + [None] * 5
+
+    def take(i: int, expected: Token, what: str) -> None:
+        if toks[i] != expected:
             raise NotACodeError(f"official string malformed: expected {what}")
-        self.i += 1
 
-    def _numeral(self, value: int) -> Term:
-        if value <= self.expand_max:
-            t: Term = Zero()
-            for _ in range(value):
-                t = Succ(t)
-            return t
-        return BigNumeral(value)
+    def numeral(value: int) -> Term:
+        if value > config.expand_max:
+            return BigNumeral(value)
+        t: Term = Zero()
+        for _ in range(value):
+            t = Succ(t)
+        return t
 
-    def parse_expr(self) -> Expr:
-        tok = self.peek()
-        if tok is None:
-            raise NotACodeError("empty official string")
-        if tok == EQ_PRED or tok == LPAREN:
-            return self.parse_formula(0)
-        return self.parse_term(0)
-
-    def parse_term(self, depth: int) -> Term:
-        if depth > _MAX_DEPTH:
-            raise NotACodeError("official string nests too deeply")
-        tok = self.peek()
-        if tok is None:
-            raise NotACodeError("official string ends inside a term")
-        if tok == ZERO_CONST:
-            self.i += 1
-            return Zero()
-        if tok[0] == "numrun":
-            self.i += 1
-            return self._numeral(tok[1])
-        if tok[0] == "var":
-            self.i += 1
-            if tok[1] < 1:
-                raise NotACodeError("variable index must be >= 1")
-            return Var(tok[1])
-        if tok == SUCC_FN:
-            chain = 0
-            while self.peek() == SUCC_FN:
-                self.i += 1
-                self.take(LPAREN, "'(' after successor")
-                chain += 1
-            core = self.parse_term(depth + 1)
-            for _ in range(chain):
-                self.take(RPAREN, "')'")
-                core = Succ(core)
-            value = numeral_value(core)
-            if value is not None:
-                return self._numeral(value) if value > self.expand_max else core
-            return core
-        if tok in (ADD_FN, MUL_FN):
-            self.i += 1
-            self.take(LPAREN, "'('")
-            left = self.parse_term(depth + 1)
-            self.take(COMMA, "','")
-            right = self.parse_term(depth + 1)
-            self.take(RPAREN, "')'")
-            return Add(left, right) if tok == ADD_FN else Mul(left, right)
-        raise NotACodeError(f"unexpected symbol in term position: {tok!r}")
-
-    def parse_formula(self, depth: int) -> Formula:
-        if depth > _MAX_DEPTH:
-            raise NotACodeError("official string nests too deeply")
-        tok = self.peek()
-        if tok is None:
-            raise NotACodeError("official string ends inside a formula")
-        if tok == EQ_PRED:
-            self.i += 1
-            self.take(LPAREN, "'('")
-            left = self.parse_term(depth + 1)
-            self.take(COMMA, "','")
-            right = self.parse_term(depth + 1)
-            self.take(RPAREN, "')'")
-            return Eq(left, right)
-        if tok == LPAREN:
-            nxt = self.tokens[self.i + 1] if self.i + 1 < len(self.tokens) else None
-            if nxt == NEG:
-                self.i += 2
-                body = self.parse_formula(depth + 1)
-                self.take(RPAREN, "')'")
-                return Not(body)
-            third = self.tokens[self.i + 2] if self.i + 2 < len(self.tokens) else None
-            if nxt == LPAREN and third == FORALL:
-                self.i += 3
-                var = self.peek()
+    # Constructions waiting for a value, innermost last.
+    frames: list[tuple] = []
+    formula = tokens[0] in (EQ_PRED, LPAREN)  # what the next value must be
+    i = 0
+    while True:
+        tok = toks[i]
+        if formula:
+            if tok is None:
+                raise NotACodeError("official string ends inside a formula")
+            if tok == EQ_PRED:
+                take(i + 1, LPAREN, "'('")
+                frames.append(("args", Eq))
+                formula = False
+                i += 2
+            elif tok != LPAREN:
+                raise NotACodeError(
+                    f"unexpected symbol in formula position: {tok!r}"
+                )
+            elif toks[i + 1] == NEG:
+                frames.append(("close", Not))
+                i += 2
+            elif toks[i + 1] == LPAREN and toks[i + 2] == FORALL:
+                var = toks[i + 3]
                 if var is None or var[0] != "var" or var[1] < 1:
                     raise NotACodeError("malformed quantifier prefix")
-                self.i += 1
-                self.take(RPAREN, "')' closing the quantifier prefix")
-                body = self.parse_formula(depth + 1)
-                self.take(RPAREN, "')'")
-                return ForAll(var[1], body)
-            self.i += 1
-            left = self.parse_formula(depth + 1)
-            self.take(IMP, "'->'")
-            right = self.parse_formula(depth + 1)
-            self.take(RPAREN, "')'")
-            return Implies(left, right)
-        raise NotACodeError(f"unexpected symbol in formula position: {tok!r}")
-
-
-def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
-    parser = _TokenParser(tokens, config.expand_max)
-    expr = parser.parse_expr()
-    if parser.i != len(tokens):
+                take(i + 4, RPAREN, "')' closing the quantifier prefix")
+                frames.append(("close", ForAll, var[1]))
+                i += 5
+            else:
+                frames.append(("imp",))
+                i += 1
+            continue
+        if tok is None:
+            raise NotACodeError("official string ends inside a term")
+        if tok == SUCC_FN:
+            chain = 0
+            while toks[i] == SUCC_FN:
+                take(i + 1, LPAREN, "'(' after successor")
+                chain += 1
+                i += 2
+            frames.append(("S", chain))
+            continue
+        if tok in (ADD_FN, MUL_FN):
+            take(i + 1, LPAREN, "'('")
+            frames.append(("args", Add if tok == ADD_FN else Mul))
+            i += 2
+            continue
+        if tok == ZERO_CONST:
+            value: Expr = Zero()
+        elif tok[0] == "numrun":
+            value = numeral(tok[1])
+        elif tok[0] == "var":
+            if tok[1] < 1:
+                raise NotACodeError("variable index must be >= 1")
+            value = Var(tok[1])
+        else:
+            raise NotACodeError(f"unexpected symbol in term position: {tok!r}")
+        i += 1
+        # Hand the value to the waiting constructions until one needs more.
+        while frames:
+            frame = frames[-1]
+            tag = frame[0]
+            if tag == "args":
+                take(i, COMMA, "','")
+                frames[-1] = ("close", frame[1], value)
+                formula = False
+                i += 1
+                break
+            if tag == "imp":
+                take(i, IMP, "'->'")
+                frames[-1] = ("close", Implies, value)
+                formula = True
+                i += 1
+                break
+            if tag == "S":
+                for _ in range(frame[1]):
+                    take(i, RPAREN, "')'")
+                    value = Succ(value)
+                    i += 1
+                total = numeral_value(value)
+                if total is not None and total > config.expand_max:
+                    value = BigNumeral(total)
+            else:
+                take(i, RPAREN, "')'")
+                value = frame[1](*frame[2:], value)
+                i += 1
+            frames.pop()
+        else:
+            break
+    if i != n:
         raise NotACodeError("trailing symbols after a complete expression")
-    return expr
+    return value
 
 
 # --------------------------------------------------------------------------
@@ -622,7 +607,8 @@ def _decode_pairing_sequence(code: int) -> list[int]:
 
 
 def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
-    tokens = _normalize_tokens(tokens)
+    # official_tokens and meta_num give runs already normalised; the
+    # sequence rewrites normalise theirs before they get here
     if config.seq == "prime":
         symbols = _expand_tokens(tokens, config)
         return _encode_prime_sequence(
@@ -677,7 +663,7 @@ def meta_neg(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     expr = _parse_tokens(tokens, config)
     if not isinstance(expr, Formula):
         raise NotACodeError("not a formula code")
-    return _encode_tokens([LPAREN, NEG, *tokens, RPAREN], config)
+    return _encode_tokens(_normalize_tokens([LPAREN, NEG, *tokens, RPAREN]), config)
 
 
 def meta_sub(
@@ -752,7 +738,7 @@ def meta_sub(
             continue
         out.append(tok)
         i += 1
-    return _encode_tokens(out, config)
+    return _encode_tokens(_normalize_tokens(out), config)
 
 
 def encode_proof(
@@ -781,36 +767,34 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
             line_codes = _decode_pairing_sequence(u)
         if not line_codes:
             return False
-        formulas = []
-        for line_code in line_codes:
-            expr = decode_expr(line_code, config)
-            if not isinstance(expr, Formula):
-                return False
-            formulas.append(canon_numerals(expr))
+        formulas = [decode_expr(line_code, config) for line_code in line_codes]
         conclusion = decode_expr(x, config)
-        if not isinstance(conclusion, Formula):
+        if not all(isinstance(f, Formula) for f in formulas + [conclusion]):
             return False
-        if formulas[-1] != canon_numerals(conclusion):
+        if canonical_key(formulas[-1]) != canonical_key(conclusion):
             return False
-        for m, f in enumerate(formulas):
-            if not _derivable_at(formulas, m, f):
-                return False
-        return True
-    except NumberingError:
-        return False
-    except (ValueError, RecursionError):
+        return _derivable(formulas)
+    except (NumberingError, ValueError):
         return False
 
 
-def _derivable_at(formulas: list[Formula], m: int, f: Formula) -> bool:
-    if _proofs.is_any_axiom(f):
-        return True
-    for j in range(m):
-        fj = formulas[j]
-        if isinstance(fj, Implies) and fj.right == f:
-            if any(formulas[i] == fj.left for i in range(m)):
-                return True
-    if isinstance(f, ForAll):
-        body = f.body
-        return any(formulas[i] == body for i in range(m))
-    return False
+def _derivable(formulas: list[Formula]) -> bool:
+    """Whether each formula is an axiom or follows from earlier ones by MP
+    or GEN, found by canonical key lookups."""
+    earlier: set[str] = set()
+    # canonical key of B -> keys of A, for each earlier line (A -> B)
+    antecedents: dict[str, list[str]] = {}
+    for f in formulas:
+        key = canonical_key(f)
+        if not (
+            any(a in earlier for a in antecedents.get(key, ()))
+            or (isinstance(f, ForAll) and canonical_key(f.body) in earlier)
+            or _proofs.is_any_axiom(f)
+        ):
+            return False
+        earlier.add(key)
+        if isinstance(f, Implies):
+            antecedents.setdefault(canonical_key(f.right), []).append(
+                canonical_key(f.left)
+            )
+    return True

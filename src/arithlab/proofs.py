@@ -54,7 +54,7 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    canon_numerals,
+    canonical_key,
     free_vars,
     parse_formula,
     semantic_eq,
@@ -215,50 +215,26 @@ def find_instantiation(body: Formula, var: int, instance: Formula) -> Term | Non
     free in body and instance equals body.  Returns None when no t works
     (including when t would not be free for x_var in body).
     """
-    candidates: list[Term] = []
-
-    def walk(b, i, bound: frozenset[int]) -> bool:
-        # Align a Succ chain on one side with a num(n) node on the other.
-        while isinstance(b, Succ) and isinstance(i, BigNumeral) and i.value > 0:
-            b, i = b.arg, BigNumeral(i.value - 1)
-        while isinstance(i, Succ) and isinstance(b, BigNumeral) and b.value > 0:
-            b, i = BigNumeral(b.value - 1), i.arg
-        if isinstance(b, Var):
-            if b.index == var and var not in bound:
-                if not isinstance(i, Term):
-                    return False
-                candidates.append(i)
-                return True
-            return isinstance(i, Var) and i.index == b.index
-        if type(b) is not type(i):
-            if isinstance(b, Term) and isinstance(i, Term):
-                has_hole = var not in bound and var in free_vars(b)
-                return not has_hole and semantic_eq(b, i)
-            return False
-        if isinstance(b, Zero):
-            return True
-        if isinstance(b, BigNumeral):
-            return b.value == i.value
-        if isinstance(b, Succ):
-            return walk(b.arg, i.arg, bound)
-        if isinstance(b, (Add, Mul, Eq, Implies)):
-            return walk(b.left, i.left, bound) and walk(b.right, i.right, bound)
-        if isinstance(b, Not):
-            return walk(b.body, i.body, bound)
-        if isinstance(b, ForAll):
-            if b.index != i.index:
-                return False
-            return walk(b.body, i.body, bound | {b.index})
-        raise TypeError(f"not a term or formula: {b!r}")
-
-    if not walk(body, instance, frozenset()):
-        return None
-    if not candidates:
+    if var not in free_vars(body):
         return Var(var) if semantic_eq(body, instance) else None
-    t = candidates[0]
-    for other in candidates[1:]:
-        if not semantic_eq(other, t):
+    # The only candidate is what instance has where body has its first free
+    # x_var; walk down to it in step, then check the whole instance.
+    b, t = body, instance
+    while b.__class__ is not Var:
+        if b.__class__ is Succ and t.__class__ is BigNumeral and t.value > 0:
+            b, t = b.arg, BigNumeral(t.value - 1)
+        elif b.__class__ is not t.__class__:
             return None
+        elif b.__class__ is Succ:
+            b, t = b.arg, t.arg
+        elif b.__class__ is Not or b.__class__ is ForAll:
+            if b.__class__ is ForAll and b.index != t.index:
+                return None
+            b, t = b.body, t.body
+        elif var in free_vars(b.left):
+            b, t = b.left, t.left
+        else:
+            b, t = b.right, t.right
     try:
         result = substitute(body, var, t)
     except CaptureError:
@@ -362,9 +338,12 @@ def check_line(
                 return f"MP cites line {ref}, which is not an earlier line"
             if ref not in formulas:
                 return f"MP cites line {ref}, which does not exist"
-        premise = formulas[just.premise]
         implication = formulas[just.implication]
-        if not semantic_eq(implication, Implies(premise, line.formula)):
+        if not (
+            isinstance(implication, Implies)
+            and semantic_eq(implication.left, formulas[just.premise])
+            and semantic_eq(implication.right, line.formula)
+        ):
             return (
                 f"MP mismatch: line {just.implication} is not "
                 f"(line {just.premise} -> this line)"
@@ -375,8 +354,12 @@ def check_line(
             return f"GEN cites line {just.source}, which is not an earlier line"
         if just.source not in formulas:
             return f"GEN cites line {just.source}, which does not exist"
-        expected = ForAll(just.var, formulas[just.source])
-        if not semantic_eq(line.formula, expected):
+        f = line.formula
+        if not (
+            isinstance(f, ForAll)
+            and f.index == just.var
+            and semantic_eq(f.body, formulas[just.source])
+        ):
             return (
                 f"GEN mismatch: this line is not forall x{just.var} of "
                 f"line {just.source}"
@@ -494,7 +477,7 @@ class ProofBuilder:
     _by_formula: dict = field(default_factory=dict)
 
     def add(self, formula: Formula, justification: Justification) -> int:
-        key = canon_numerals(formula)
+        key = canonical_key(formula)
         existing = self._by_formula.get(key)
         if existing is not None:
             return existing

@@ -19,6 +19,13 @@ operators, so parse(to_text(e)) == e for every tree the library builds.
 
 num(n) is a compact numeral: it stands for n nested applications of S to 0
 without materialising them.  num(0) is interchangeable with 0 everywhere.
+
+Printing, keys, official symbol strings and every rebuild of a tree go
+through spell, one explicit-stack traversal; the parsers, free_vars and ==
+keep explicit stacks too.  So nesting depth is bounded by memory, never by
+Python's recursion limit.  Two flat keys are spelled by spell and cached on
+the node asked for them: to_text, and canonical_key, the same spelling with
+every numeral written num(n), which decides semantic_eq and gives the hash.
 """
 
 from __future__ import annotations
@@ -27,25 +34,51 @@ import re
 from dataclasses import dataclass
 
 
-class Term:
+class _Node:
+    """Base of terms and formulas: equal when spelled alike."""
+
+    __slots__ = ("_text", "_canon")
+
+    def __eq__(self, other):
+        if not isinstance(other, _Node):
+            return NotImplemented
+        # Field by field in lockstep, with a stack: this stops at the
+        # first difference and needs no spelling of fresh nodes.
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            for name in a.__slots__:
+                x, y = getattr(a, name), getattr(b, name)
+                if isinstance(x, _Node):
+                    pairs.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __hash__(self) -> int:
+        return hash(canonical_key(self))
+
+    def __str__(self) -> str:
+        return to_text(self)
+
+
+class Term(_Node):
     """Base class for terms."""
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return to_text(self)
 
-
-class Formula:
+class Formula(_Node):
     """Base class for formulas."""
 
     __slots__ = ()
 
-    def __str__(self) -> str:
-        return to_text(self)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(Term):
     index: int
 
@@ -54,29 +87,29 @@ class Var(Term):
             raise ValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Succ(Term):
     arg: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class BigNumeral(Term):
     """The numeral for n, kept as a count instead of a Succ chain."""
 
@@ -87,24 +120,24 @@ class BigNumeral(Term):
             raise ValueError(f"numeral value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class ForAll(Formula):
     index: int
     body: Formula
@@ -164,58 +197,130 @@ class CaptureError(SyntaxToolError):
 
 
 # --------------------------------------------------------------------------
-# printing
+# the traversal
+
+
+def spell(e: Expr, table: dict) -> list:
+    """What e spells under table, in order, by one explicit-stack walk.
+
+    table maps a class to a function entry(item, out), which appends to
+    out what comes before the item's first child and returns the rest:
+    pieces and children in stack order, last first, or nothing.  Succ's
+    entry peels a whole chain in a loop.  An item whose class the table
+    leaves out is a piece, emitted as is.  Depth is bounded by memory.
+    """
+    if not isinstance(e, _Node):
+        raise TypeError(f"not a term or formula: {e!r}")
+    out: list = []
+    emit = out.append
+    stack: list = [e]
+    pop, push, entry_of = stack.pop, stack.extend, table.get
+    while stack:
+        x = pop()
+        entry = entry_of(x.__class__)
+        if entry is None:
+            emit(x)
+        else:
+            rest = entry(x, out)
+            if rest:
+                push(rest)
+    return out
+
+
+def succ_entry(opening: list, closing: list, numeral=None):
+    """Succ's entry: the pieces that open and close one application, the
+    closing ones in stack order, repeated along the chain; numeral(n), when
+    given, is the one piece for a whole chain over a numeral for n."""
+
+    def entry(e: Succ, out: list) -> list | None:
+        depth = 0
+        while e.__class__ is Succ:
+            depth += 1
+            e = e.arg
+        if numeral is not None:
+            value = numeral_value(e)
+            if value is not None:
+                out.append(numeral(value + depth))
+                return None
+        out += opening * depth
+        return closing * depth + [e]
+
+    return entry
+
+
+# --------------------------------------------------------------------------
+# printing and keys
+
+
+def _infix(op: str):
+    def entry(e, out: list) -> list:
+        out.append("(")
+        return [")", e.right, op, e.left]
+
+    return entry
+
+
+def _not_text(e: Not, out: list) -> list:
+    out.append("~")
+    return [e.body]
+
+
+def _forall_text(e: ForAll, out: list) -> list:
+    out.append(f"forall x{e.index} . ")
+    return [e.body]
+
+
+def _num_key(n: int) -> str:
+    # hexadecimal, which has no digit limit, so every numeral has a key
+    return f"num({n:x})"
+
+
+_TEXT = {
+    Var: lambda e, out: out.append(f"x{e.index}"),
+    Zero: lambda e, out: out.append("0"),
+    BigNumeral: lambda e, out: out.append(f"num({e.value})"),
+    Succ: succ_entry(["S("], [")"]),
+    Add: _infix(" + "),
+    Mul: _infix(" * "),
+    Eq: _infix(" = "),
+    Not: _not_text,
+    Implies: _infix(" -> "),
+    ForAll: _forall_text,
+}
+_CANON = {
+    **_TEXT,
+    Zero: lambda e, out: out.append("num(0)"),
+    BigNumeral: lambda e, out: out.append(_num_key(e.value)),
+    Succ: succ_entry(["S("], [")"], _num_key),
+}
+
+
+def _cached(e: Expr, slot: str, table: dict) -> str:
+    key = getattr(e, slot, None)
+    if key is None:
+        key = "".join(spell(e, table))
+        object.__setattr__(e, slot, key)
+    return key
 
 
 def to_text(e: Expr) -> str:
-    parts: list[str] = []
-    _emit(e, parts)
-    return "".join(parts)
+    """The printed spelling of e, cached on e."""
+    return _cached(e, "_text", _TEXT)
 
 
-def _emit(e: Expr, out: list[str]) -> None:
-    if isinstance(e, Succ):
-        # Peel whole chains iteratively; deep numerals must not recurse.
-        depth = 0
-        while isinstance(e, Succ):
-            out.append("S(")
-            depth += 1
-            e = e.arg
-        _emit(e, out)
-        out.append(")" * depth)
-    elif isinstance(e, Zero):
-        out.append("0")
-    elif isinstance(e, Var):
-        out.append(f"x{e.index}")
-    elif isinstance(e, BigNumeral):
-        out.append(f"num({e.value})")
-    elif isinstance(e, (Add, Mul)):
-        op = "+" if isinstance(e, Add) else "*"
-        out.append("(")
-        _emit(e.left, out)
-        out.append(f" {op} ")
-        _emit(e.right, out)
-        out.append(")")
-    elif isinstance(e, Eq):
-        out.append("(")
-        _emit(e.left, out)
-        out.append(" = ")
-        _emit(e.right, out)
-        out.append(")")
-    elif isinstance(e, Not):
-        out.append("~")
-        _emit(e.body, out)
-    elif isinstance(e, Implies):
-        out.append("(")
-        _emit(e.left, out)
-        out.append(" -> ")
-        _emit(e.right, out)
-        out.append(")")
-    elif isinstance(e, ForAll):
-        out.append(f"forall x{e.index} . ")
-        _emit(e.body, out)
-    else:
-        raise TypeError(f"not a term or formula: {e!r}")
+def canonical_key(e: Expr) -> str:
+    """The spelling of e with every numeral as num(n), n in hexadecimal,
+    cached on e.
+
+    Two trees denote the same official expression exactly when their
+    canonical keys are equal.
+    """
+    return _cached(e, "_canon", _CANON)
+
+
+def semantic_eq(a: Expr, b: Expr) -> bool:
+    """Equality up to the compact/expanded numeral distinction."""
+    return canonical_key(a) == canonical_key(b)
 
 
 # --------------------------------------------------------------------------
@@ -227,192 +332,148 @@ _TOKEN_RE = re.compile(
     r"|(?P<bar>\|)|(?P<var>x[0-9]+)|(?P<number>[0-9]+)"
     r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
 )
+_QUANTIFIERS = {"forall": ForAll, "exists": exists}
+_TERM_OPS = {"plus": Add, "star": Mul, "eq": Eq}
+_FORMULA_OPS = {"arrow": Implies, "amp": conj, "bar": disj}
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    text: str
-    pos: int
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) triples, closed by an "eof" token."""
     tokens = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r}", n - len(rest))
+    for m in _TOKEN_RE.finditer(text):
+        if m.start() != pos:
+            break
         kind = m.lastgroup
-        assert kind is not None
-        tokens.append(_Token(kind, m.group(kind), m.start(kind)))
+        tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()
-    tokens.append(_Token("eof", "", n))
+    rest = text[pos:].lstrip()
+    if rest:
+        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.i = 0
+def _expect(tokens: list, i: int, kind: str, what: str) -> str:
+    tok_kind, text, pos = tokens[i]
+    if tok_kind != kind:
+        raise ParseError(f"expected {what}, got {text or 'end of input'!r}", pos)
+    return text
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _number(digits: str, pos: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # past the interpreter's int-string digit limit
+        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.pos)
-        return self.advance()
 
-    # items ---------------------------------------------------------------
-
-    def parse_item(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "tilde" or (
-            tok.kind == "word" and tok.text in ("forall", "exists")
-        ):
-            return self.parse_formula()
-        if tok.kind == "lpar":
-            return self._parse_paren()
-        return self.parse_term()
-
-    def _parse_paren(self) -> Expr:
-        self.expect("lpar", "'('")
-        first = self.parse_item()
-        tok = self.peek()
-        if isinstance(first, Term):
-            if tok.kind in ("plus", "star"):
-                self.advance()
-                second = self.parse_term()
-                self.expect("rpar", "')'")
-                return Add(first, second) if tok.kind == "plus" else Mul(first, second)
-            if tok.kind == "eq":
-                self.advance()
-                second = self.parse_term()
-                self.expect("rpar", "')'")
-                return Eq(first, second)
-            raise ParseError(
-                f"expected '+', '*' or '=' after term, got {tok.text or 'end of input'!r}",
-                tok.pos,
-            )
-        if tok.kind == "arrow":
-            self.advance()
-            second = self.parse_formula()
-            self.expect("rpar", "')'")
-            return Implies(first, second)
-        if tok.kind == "amp":
-            self.advance()
-            second = self.parse_formula()
-            self.expect("rpar", "')'")
-            return conj(first, second)
-        if tok.kind == "bar":
-            self.advance()
-            second = self.parse_formula()
-            self.expect("rpar", "')'")
-            return disj(first, second)
-        raise ParseError(
-            f"expected '->' after formula, got {tok.text or 'end of input'!r}",
-            tok.pos,
-        )
-
-    # terms ---------------------------------------------------------------
-
-    def parse_term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "number":
-            if tok.text != "0":
-                raise ParseError(
-                    f"bare numeral literals other than '0' are not terms; "
-                    f"write num({tok.text})",
-                    tok.pos,
-                )
-            self.advance()
-            return Zero()
-        if tok.kind == "var":
-            self.advance()
-            index = int(tok.text[1:])
-            if index < 1:
-                raise ParseError("variable index must be >= 1", tok.pos)
-            return Var(index)
-        if tok.kind == "word" and tok.text == "S":
-            # Peel whole S chains in a loop; deep chains must not recurse.
-            depth = 0
-            while self.peek().kind == "word" and self.peek().text == "S":
-                self.advance()
-                self.expect("lpar", "'(' after S")
-                depth += 1
-            core = self.parse_term()
-            for _ in range(depth):
-                self.expect("rpar", "')'")
-                core = Succ(core)
-            return core
-        if tok.kind == "word" and tok.text == "num":
-            self.advance()
-            self.expect("lpar", "'(' after num")
-            number = self.expect("number", "numeral digits")
-            self.expect("rpar", "')'")
-            return BigNumeral(int(number.text))
-        if tok.kind == "lpar":
-            item = self._parse_paren()
-            if not isinstance(item, Term):
-                raise ParseError("expected a term, found a formula", tok.pos)
-            return item
-        raise ParseError(
-            f"expected a term, got {tok.text or 'end of input'!r}", tok.pos
-        )
-
-    # formulas ------------------------------------------------------------
-
-    def parse_formula(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "tilde":
-            self.advance()
-            return Not(self.parse_formula())
-        if tok.kind == "word" and tok.text == "forall":
-            self.advance()
-            var = self.expect("var", "a variable after forall")
-            index = int(var.text[1:])
-            if index < 1:
-                raise ParseError("variable index must be >= 1", var.pos)
-            self.expect("dot", "'.' after quantified variable")
-            return ForAll(index, self.parse_formula())
-        if tok.kind == "word" and tok.text == "exists":
-            self.advance()
-            var = self.expect("var", "a variable after exists")
-            index = int(var.text[1:])
-            if index < 1:
-                raise ParseError("variable index must be >= 1", var.pos)
-            self.expect("dot", "'.' after quantified variable")
-            return exists(index, self.parse_formula())
-        if tok.kind == "lpar":
-            item = self._parse_paren()
-            if not isinstance(item, Formula):
-                raise ParseError("expected a formula, found a term", tok.pos)
-            return item
-        raise ParseError(
-            f"expected a formula, got {tok.text or 'end of input'!r}", tok.pos
-        )
+def _index(token: tuple[str, str, int]) -> int:
+    index = _number(token[1][1:], token[2])
+    if index < 1:
+        raise ParseError("variable index must be >= 1", token[2])
+    return index
 
 
 def parse(text: str) -> Expr:
     """Parse text as a term or a formula, whichever it is."""
-    p = _Parser(text)
-    item = p.parse_item()
-    tail = p.peek()
-    if tail.kind != "eof":
-        raise ParseError(f"trailing input {tail.text!r}", tail.pos)
-    return item
+    tokens = _tokenize(text)
+    i = 0
+    # Constructions waiting for a value, innermost last.
+    frames: list[tuple] = []
+    want = "item"  # what the next value must be: "item", "term" or "formula"
+    while True:
+        kind, word, pos = tokens[i]
+        if kind == "lpar":
+            frames.append(("(", want, pos))
+            want = "item"
+            i += 1
+            continue
+        if want != "term" and (kind == "tilde" or word in _QUANTIFIERS):
+            if kind == "tilde":
+                frames.append(("prefix", Not))
+                i += 1
+            else:
+                _expect(tokens, i + 1, "var", f"a variable after {word}")
+                index = _index(tokens[i + 1])
+                _expect(tokens, i + 2, "dot", "'.' after quantified variable")
+                frames.append(("prefix", _QUANTIFIERS[word], index))
+                i += 3
+            want = "formula"
+            continue
+        if want == "formula":
+            raise ParseError(f"expected a formula, got {word or 'end of input'!r}", pos)
+        if word == "S":
+            depth = 0
+            while tokens[i][1] == "S":
+                _expect(tokens, i + 1, "lpar", "'(' after S")
+                depth += 1
+                i += 2
+            frames.append(("S", depth))
+            want = "term"
+            continue
+        if kind == "number":
+            if word != "0":
+                raise ParseError(
+                    f"bare numeral literals other than '0' are not terms; "
+                    f"write num({word})",
+                    pos,
+                )
+            value = Zero()
+            i += 1
+        elif kind == "var":
+            value = Var(_index(tokens[i]))
+            i += 1
+        elif word == "num":
+            _expect(tokens, i + 1, "lpar", "'(' after num")
+            digits = _expect(tokens, i + 2, "number", "numeral digits")
+            _expect(tokens, i + 3, "rpar", "')'")
+            value = BigNumeral(_number(digits, tokens[i + 2][2]))
+            i += 4
+        else:
+            raise ParseError(f"expected a term, got {word or 'end of input'!r}", pos)
+        # Hand the value to the waiting constructions until one needs more.
+        while frames:
+            frame = frames[-1]
+            tag = frame[0]
+            if tag == "(":
+                kind, word, pos = tokens[i]
+                ops = _TERM_OPS if isinstance(value, Term) else _FORMULA_OPS
+                if kind not in ops:
+                    expected = "'+', '*' or '='" if ops is _TERM_OPS else "'->'"
+                    after = "term" if ops is _TERM_OPS else "formula"
+                    raise ParseError(
+                        f"expected {expected} after {after}, "
+                        f"got {word or 'end of input'!r}",
+                        pos,
+                    )
+                frames[-1] = ("op", ops[kind], value, frame[1], frame[2])
+                want = "term" if ops is _TERM_OPS else "formula"
+                i += 1
+                break
+            if tag == "S":
+                for _ in range(frame[1]):
+                    _expect(tokens, i, "rpar", "')'")
+                    value = Succ(value)
+                    i += 1
+            elif tag == "op":
+                _, make, first, outer, lpos = frame
+                _expect(tokens, i, "rpar", "')'")
+                value = make(first, value)
+                i += 1
+                if outer == "term" and not isinstance(value, Term):
+                    raise ParseError("expected a term, found a formula", lpos)
+                if outer == "formula" and not isinstance(value, Formula):
+                    raise ParseError("expected a formula, found a term", lpos)
+            else:
+                value = frame[1](*frame[2:], value)
+            frames.pop()
+        else:
+            break
+    kind, word, pos = tokens[i]
+    if kind != "eof":
+        raise ParseError(f"trailing input {word!r}", pos)
+    return value
 
 
 def parse_term(text: str) -> Term:
@@ -462,60 +523,56 @@ def free_vars(e: Expr) -> frozenset[int]:
     return frozenset(out)
 
 
-def substitute_term(t: Term, var: int, replacement: Term) -> Term:
-    if isinstance(t, Var):
-        return replacement if t.index == var else t
-    if isinstance(t, (Zero, BigNumeral)):
-        return t
-    if isinstance(t, Succ):
-        depth = 0
-        while isinstance(t, Succ):
-            depth += 1
-            t = t.arg
-        core = substitute_term(t, var, replacement)
-        for _ in range(depth):
-            core = Succ(core)
-        return core
-    if isinstance(t, Add):
-        return Add(
-            substitute_term(t.left, var, replacement),
-            substitute_term(t.right, var, replacement),
-        )
-    if isinstance(t, Mul):
-        return Mul(
-            substitute_term(t.left, var, replacement),
-            substitute_term(t.right, var, replacement),
-        )
-    raise TypeError(f"not a term: {t!r}")
+# The number of children a node class is built from; ForAll's first
+# argument, its index, is emitted before its body.
+_ARITY = {Succ: 1, Not: 1, Add: 2, Mul: 2, Eq: 2, Implies: 2, ForAll: 2}
 
 
-def substitute(f: Formula, var: int, replacement: Term) -> Formula:
-    """f with replacement for every free occurrence of x_var.
+def _build(cls: type, out: list) -> None:
+    """A node class on the stack builds a node from what was emitted last."""
+    if _ARITY[cls] == 1:
+        out[-1] = cls(out[-1])
+    else:
+        last = out.pop()
+        out[-1] = cls(out[-1], last)
+
+
+# Rebuilds every node, pushing its class after its children; leaves are
+# pieces, emitted whole.
+_REBUILD = {
+    type: _build,
+    Succ: succ_entry([], [Succ]),
+    Add: lambda e, out: [Add, e.right, e.left],
+    Mul: lambda e, out: [Mul, e.right, e.left],
+    Eq: lambda e, out: [Eq, e.right, e.left],
+    Not: lambda e, out: [Not, e.body],
+    Implies: lambda e, out: [Implies, e.right, e.left],
+    ForAll: lambda e, out: [ForAll, e.body, e.index],
+}
+
+
+def substitute(e: Expr, var: int, replacement: Term) -> Expr:
+    """e with replacement for every free occurrence of x_var.
 
     Raises CaptureError if a free variable of the replacement would fall
-    under a binder of f (the replacement is not free for x_var in f).
+    under a binder of e (the replacement is not free for x_var in e).
     """
-    if isinstance(f, Eq):
-        return Eq(
-            substitute_term(f.left, var, replacement),
-            substitute_term(f.right, var, replacement),
-        )
-    if isinstance(f, Not):
-        return Not(substitute(f.body, var, replacement))
-    if isinstance(f, Implies):
-        return Implies(
-            substitute(f.left, var, replacement),
-            substitute(f.right, var, replacement),
-        )
-    if isinstance(f, ForAll):
-        if f.index == var:
-            return f
-        if var not in free_vars(f.body):
-            return f
+
+    def forall(f: ForAll, out: list) -> list | None:
+        if f.index == var or var not in free_vars(f.body):
+            out.append(f)
+            return None
         if f.index in free_vars(replacement):
             raise CaptureError(f.index, var)
-        return ForAll(f.index, substitute(f.body, var, replacement))
-    raise TypeError(f"not a formula: {f!r}")
+        return [ForAll, f.body, f.index]
+
+    def variable(v: Var, out: list) -> None:
+        out.append(replacement if v.index == var else v)
+
+    return spell(e, {**_REBUILD, Var: variable, ForAll: forall})[0]
+
+
+substitute_term = substitute
 
 
 # --------------------------------------------------------------------------
@@ -541,108 +598,26 @@ def expand_numerals(e: Expr, limit: int = 10**6) -> Expr:
     Refuses to expand a numeral larger than limit, since the result would
     have that many nodes.
     """
-    if isinstance(e, BigNumeral):
-        if e.value > limit:
-            raise ValueError(
-                f"refusing to expand num({e.value}); limit is {limit}"
-            )
-        t: Term = Zero()
-        for _ in range(e.value):
-            t = Succ(t)
-        return t
-    if isinstance(e, (Zero, Var)):
-        return e
-    if isinstance(e, Succ):
-        depth = 0
-        while isinstance(e, Succ):
-            depth += 1
-            e = e.arg
-        core = expand_numerals(e, limit)
-        assert isinstance(core, Term)
-        for _ in range(depth):
-            core = Succ(core)
-        return core
-    if isinstance(e, Add):
-        left = expand_numerals(e.left, limit)
-        right = expand_numerals(e.right, limit)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Add(left, right)
-    if isinstance(e, Mul):
-        left = expand_numerals(e.left, limit)
-        right = expand_numerals(e.right, limit)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Mul(left, right)
-    if isinstance(e, Eq):
-        left = expand_numerals(e.left, limit)
-        right = expand_numerals(e.right, limit)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Eq(left, right)
-    if isinstance(e, Not):
-        body = expand_numerals(e.body, limit)
-        assert isinstance(body, Formula)
-        return Not(body)
-    if isinstance(e, Implies):
-        left = expand_numerals(e.left, limit)
-        right = expand_numerals(e.right, limit)
-        assert isinstance(left, Formula) and isinstance(right, Formula)
-        return Implies(left, right)
-    if isinstance(e, ForAll):
-        body = expand_numerals(e.body, limit)
-        assert isinstance(body, Formula)
-        return ForAll(e.index, body)
-    raise TypeError(f"not a term or formula: {e!r}")
+
+    def expand(t: BigNumeral, out: list) -> list:
+        if t.value > limit:
+            raise ValueError(f"refusing to expand num({t.value}); limit is {limit}")
+        return [Succ] * t.value + [Zero()]
+
+    return spell(e, {**_REBUILD, BigNumeral: expand})[0]
+
+
+_CANON_REBUILD = {
+    **_REBUILD,
+    Zero: lambda e, out: out.append(BigNumeral(0)),
+    Succ: succ_entry([], [Succ], BigNumeral),
+}
 
 
 def canon_numerals(e: Expr) -> Expr:
     """Canonical form for comparisons: every numeral becomes a num(n) node.
 
     Succ chains ending in 0 or num(k) collapse; everything else is kept.
-    Two trees denote the same official expression exactly when their
-    canonical forms are equal.
+    This is the tree that canonical_key(e) spells.
     """
-    if isinstance(e, (Zero, BigNumeral)):
-        return BigNumeral(e.value if isinstance(e, BigNumeral) else 0)
-    if isinstance(e, Var):
-        return e
-    if isinstance(e, Succ):
-        depth = 0
-        while isinstance(e, Succ):
-            depth += 1
-            e = e.arg
-        core = canon_numerals(e)
-        if isinstance(core, BigNumeral):
-            return BigNumeral(core.value + depth)
-        assert isinstance(core, Term)
-        for _ in range(depth):
-            core = Succ(core)
-        return core
-    if isinstance(e, Add):
-        left, right = canon_numerals(e.left), canon_numerals(e.right)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Add(left, right)
-    if isinstance(e, Mul):
-        left, right = canon_numerals(e.left), canon_numerals(e.right)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Mul(left, right)
-    if isinstance(e, Eq):
-        left, right = canon_numerals(e.left), canon_numerals(e.right)
-        assert isinstance(left, Term) and isinstance(right, Term)
-        return Eq(left, right)
-    if isinstance(e, Not):
-        body = canon_numerals(e.body)
-        assert isinstance(body, Formula)
-        return Not(body)
-    if isinstance(e, Implies):
-        left, right = canon_numerals(e.left), canon_numerals(e.right)
-        assert isinstance(left, Formula) and isinstance(right, Formula)
-        return Implies(left, right)
-    if isinstance(e, ForAll):
-        body = canon_numerals(e.body)
-        assert isinstance(body, Formula)
-        return ForAll(e.index, body)
-    raise TypeError(f"not a term or formula: {e!r}")
-
-
-def semantic_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to the compact/expanded numeral distinction."""
-    return canon_numerals(a) == canon_numerals(b)
+    return spell(e, _CANON_REBUILD)[0]

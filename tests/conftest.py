@@ -10,7 +10,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from arithlab.proofs import Proof
+from arithlab.proofs import Proof, parse_proof
 from arithlab.syntax import (
     Add,
     BigNumeral,
@@ -138,3 +138,15 @@ def rand_mutated_proof(rng: random.Random, proof: Proof) -> Proof:
     k = rng.randrange(len(proof.lines)) + 1
     old = proof.lines[k - 1].formula
     return mutate_proof_line(proof, k, mutate_formula(rng, old))
+
+
+def deep_instance_proof(depth: int) -> Proof:
+    """S5, GEN, A4 at S^depth(x2) and MP: a valid proof whose last two
+    lines nest depth successors deep."""
+    t = "S(" * depth + "x2" + ")" * depth
+    return parse_proof(
+        "1. ((x1 + 0) = x1) ; S5\n"
+        "2. forall x1 . ((x1 + 0) = x1) ; GEN 1 x1\n"
+        f"3. (forall x1 . ((x1 + 0) = x1) -> (({t} + 0) = {t})) ; A4\n"
+        f"4. (({t} + 0) = {t}) ; MP 2 3\n"
+    )

@@ -34,6 +34,13 @@ def test_parse_echoes_canonical_text(capsys):
     assert capsys.readouterr().out == "(x1 = 0)\n"
 
 
+def test_parse_deep_sum_exits_zero(capsys):
+    depth = 10**4
+    text = "(x1 + " * depth + "0" + ")" * depth
+    assert main(["parse", text]) == 0
+    assert capsys.readouterr().out.strip() == text
+
+
 def test_parse_error_exit_code(capsys):
     assert main(["parse", "x1 ="]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -36,13 +36,19 @@ from arithlab.proofs import check_proof
 from arithlab.syntax import (
     CaptureError,
     Not,
+    expand_numerals,
     numeral,
     parse_formula,
     parse_term,
     substitute,
 )
 
-from conftest import mutate_proof_line, rand_formula, rand_term
+from conftest import (
+    deep_instance_proof,
+    mutate_proof_line,
+    rand_formula,
+    rand_term,
+)
 
 MEND_PRIME = NumberingConfig(scheme="mendelson", seq="prime")
 MEND_PAIR = NumberingConfig(scheme="mendelson", seq="pairing")
@@ -154,6 +160,14 @@ def test_decode_numeral_spelling():
     assert decode_expr(code, MEND_PAIR) == parse_term("S(S(0))")
     big = encode_expr(numeral(100000), MEND_PAIR)
     assert decode_expr(big, MEND_PAIR) == numeral(100000)
+
+
+def test_deep_decoded_numeral_compares_and_hashes():
+    back = decode_expr(encode_expr(numeral(400), MEND_PAIR), MEND_PAIR)
+    chain = expand_numerals(numeral(400))
+    assert back == chain
+    assert hash(back) == hash(chain)
+    assert {back: "found"}[chain] == "found"
 
 
 def test_decode_rejects_non_codes():
@@ -299,6 +313,13 @@ def test_meta_pf_numeral_spelling_insensitive(corpus):
     u = encode_proof(proof, MEND_PAIR)
     spelled = parse_formula("((S(0) + S(0)) = num(2))")
     assert meta_pf(u, encode_expr(spelled, MEND_PAIR), MEND_PAIR)
+
+
+def test_meta_pf_agrees_with_kernel_on_deep_proof():
+    proof = deep_instance_proof(400)
+    assert check_proof(proof).accepted
+    u = encode_proof(proof, MEND_PAIR)
+    assert meta_pf(u, encode_expr(proof.conclusion, MEND_PAIR), MEND_PAIR)
 
 
 def test_encode_proof_prime_is_infeasible_for_corpus(corpus):

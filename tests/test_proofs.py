@@ -26,7 +26,7 @@ from arithlab.proofs import (
 )
 from arithlab.syntax import ForAll, parse_formula, parse_term, to_text
 
-from conftest import mutate_proof_line, rand_mutated_proof
+from conftest import deep_instance_proof, mutate_proof_line, rand_mutated_proof
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +102,12 @@ def test_find_instantiation():
         is None
     # identity instantiation maps the variable to itself
     assert find_instantiation(body, 1, body) == parse_term("x1")
+
+
+def test_deep_instance_is_accepted():
+    # S5, GEN, A4 at S^400(x2), MP: the kernel must not hit a depth limit
+    result = check_proof(deep_instance_proof(400))
+    assert result.accepted, result
 
 
 def test_check_axiom_rejects_unknown_tag():

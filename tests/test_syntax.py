@@ -1,6 +1,7 @@
 """Terms, formulas, printing, parsing, and substitution."""
 
 import random
+import sys
 
 import pytest
 
@@ -33,6 +34,7 @@ from arithlab.syntax import (
     substitute_term,
     to_text,
 )
+from arithlab.godel import NumberingConfig, decode_expr, encode_expr
 
 from conftest import rand_formula, rand_term
 
@@ -199,7 +201,77 @@ def test_str_matches_to_text():
 
 def test_deep_succ_chain_round_trip():
     # stays iterative, no recursion errors on long chains
-    text = "S(" * 300 + "0" + ")" * 300
+    depth = 10**4
+    text = "S(" * depth + "0" + ")" * depth
     t = parse_term(text)
-    assert numeral_value(t) == 300
+    assert numeral_value(t) == depth
     assert parse_term(to_text(t)) == t
+
+
+def _deep_text(rng: random.Random, depth: int, kinds: str) -> str:
+    """Text nesting depth constructors drawn from kinds, innermost first:
+    '+' sums and 'S' successors over x1, '~' negations, 'A' quantifiers.
+    Once the text is a formula, '+' and 'S' wrap it in an implication."""
+    opening: list[str] = []
+    closing: list[str] = []
+    formula = False
+    for _ in range(depth):
+        kind = rng.choice(kinds)
+        if kind in "~A" and not formula:
+            opening.append("(")
+            closing.append(" = 0)")
+            formula = True
+        if kind == "~":
+            opening.append("~")
+        elif kind == "A":
+            opening.append(f"forall x{rng.randint(1, 3)} . ")
+        elif formula:
+            opening.append("((0 = 0) -> ")
+            closing.append(")")
+        elif kind == "+":
+            opening.append("(x1 + ")
+            closing.append(")")
+        else:
+            opening.append("S(")
+            closing.append(")")
+    return "".join(reversed(opening)) + "x1" + "".join(closing)
+
+
+@pytest.mark.parametrize("kinds", ["+", "S", "~", "A", "+S~A"])
+def test_deep_nesting_round_trips_through_codes(kinds):
+    # nesting depth is bounded by memory, not by the recursion limit
+    pairing = NumberingConfig(seq="pairing")
+    text = _deep_text(random.Random(kinds), 10**4, kinds)
+    e = parse(text)
+    assert to_text(e) == text
+    back = decode_expr(encode_expr(e, pairing), pairing)
+    assert semantic_eq(back, e)
+    assert back == e
+
+
+@pytest.fixture()
+def default_digit_limit():
+    # cli.main lifts the int-string digit limit for the whole process
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter default
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_oversized_digit_strings_are_parse_errors(default_digit_limit):
+    digits = "7" * 5000
+    for text, position in ((f"num({digits})", 4), (f"x{digits}", 0)):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
+
+
+def test_numerals_past_the_digit_limit_compare_and_hash(default_digit_limit):
+    big = 10**5000
+    chain = Succ(numeral(big - 1))
+    assert semantic_eq(chain, numeral(big))
+    assert not semantic_eq(chain, numeral(big + 1))
+    assert chain != numeral(big)
+    assert {chain: 1}[Succ(numeral(big - 1))] == 1
