@@ -29,13 +29,10 @@ from .godel import (
 from .proofs import ProofFormatError, check_proof, parse_proof
 from .syntax import (
     CaptureError,
-    ForAll,
     ParseError,
     SyntaxToolError,
-    numeral,
     parse,
     parse_formula,
-    substitute,
     to_text,
 )
 
@@ -213,13 +210,10 @@ def cmd_restrict(args) -> int:
 def cmd_chain(args) -> int:
     m = models.parse_interpretation(_read_file(args.model))
     formula = parse_formula(args.formula)
-    mode = _MODE_NAMES[args.mode]
-    universal = models.is_true(m, ForAll(args.var, formula), mode)
-    points = len(models.numeral_image(m)) + 1
-    instances = []
-    for k in range(points):
-        inst = models.is_true(m, substitute(formula, args.var, numeral(k)), mode)
-        instances.append(inst)
+    universal, instances = models.numeral_chain(
+        m, args.var, formula, _MODE_NAMES[args.mode]
+    )
+    for k, inst in enumerate(instances):
         print(f"instance {k}: {'true' if inst else 'false'}")
     print(f"universal: {'true' if universal else 'false'}")
     agree = universal == all(instances)
@@ -385,26 +379,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = None
+    if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
+        limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(2_000_000_000)  # codes outgrow the default cap
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (CaptureError, models.RestrictError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
-    except ParseError as e:
+    except (ParseError, NotACodeError, InfeasibleMagnitudeError,
+            NumberingError, primrec.PRError, models.ModelError,
+            SyntaxToolError, _ArgError, ProofFormatError, OSError) as e:
         return _fail(str(e))
-    except (NotACodeError, InfeasibleMagnitudeError, NumberingError) as e:
-        return _fail(str(e))
-    except (primrec.PRError, models.ModelError, SyntaxToolError,
-            _ArgError) as e:
-        return _fail(str(e))
-    except ProofFormatError as e:
-        return _fail(str(e))
-    except OSError as e:
-        return _fail(str(e))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

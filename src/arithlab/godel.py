@@ -540,15 +540,11 @@ def _gamma_bits(n: int) -> str:
 
 
 def _read_gamma(bits: str, i: int) -> tuple[int, int]:
-    zeros = 0
-    n = len(bits)
-    while i < n and bits[i] == "0":
-        zeros += 1
-        i += 1
-    if i + zeros + 1 > n:
+    one = bits.find("1", i)
+    end = one + (one - i) + 1  # n leading zeros announce an (n+1)-bit chunk
+    if one < 0 or end > len(bits):
         raise NotACodeError("bit stream ends inside a length-prefixed chunk")
-    chunk = bits[i : i + zeros + 1]
-    return int(chunk, 2), i + zeros + 1
+    return int(bits[one:end], 2), end
 
 
 def _encode_pairing_tokens(tokens: list[Token], config: NumberingConfig) -> int:

@@ -5,20 +5,20 @@ zero, a successor table, binary tables for plus and times, and a truth
 table for the equality predicate.  Normal means equality is interpreted
 as identity.
 
-Two satisfaction relations share the machinery:
+Both modes use the usual Tarski clauses and differ only in what the
+variables range over:
 
-  standard       the usual Tarski clauses; variables denote whatever
-                 the assignment says, quantifiers sweep the domain
-  parameterized  identical clauses except at the variable lookup: a
-                 value outside the numeral image (the closure of zero
-                 under successor) is read as zero instead
+  standard       the whole domain
+  parameterized  the numeral image, the closure of zero under successor,
+                 so all and only the values of the numerals
 
-Quantifiers sweep the full domain in both modes; in parameterized mode
-the lookup remap makes a universal quantifier behave as if it ranged
-over the numeral image only.  That collapse, and where it makes familiar
-logical laws fail, is what metacheck hunts for: it enumerates small
-interpretations and evaluates pinned instance families, reporting every
-(interpretation, instance) pair on which an expected law breaks.
+Quantifiers, and the sweep over free variables in is_true, range over
+those points.  An assignment handed to satisfies or term_value may use
+any domain element; a value outside the points reads as zero.  Where
+that range restriction makes familiar logical laws fail is what
+metacheck hunts for: it enumerates small interpretations and evaluates
+pinned instance families, reporting every (interpretation, instance)
+pair on which an expected law breaks.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .syntax import (
     Add,
@@ -212,7 +212,6 @@ def parse_interpretation(text: str) -> Interpretation:
 # valuation
 
 
-@lru_cache(maxsize=None)
 def numeral_image(m: Interpretation) -> tuple[int, ...]:
     """Closure of zero under succ, in discovery order."""
     seen = []
@@ -248,21 +247,44 @@ def numeral_value_in(m: Interpretation, n: int) -> int:
 Assignment = dict[int, int]
 
 
+def _points(m: Interpretation, mode: str):
+    """What the variables range over in the given mode: the domain, or
+    the numeral image.  No other code reads the mode."""
+    if mode == "standard":
+        return range(m.size)
+    if mode == "parameterized":
+        return numeral_image(m)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _read(m: Interpretation, env: Assignment, points) -> Assignment:
+    """A supplied assignment as the evaluator sees it: a value outside
+    the points reads as zero."""
+    out = {}
+    for x, v in env.items():
+        if not 0 <= v < m.size:
+            raise ModelError(f"assignment sends x{x} outside the domain")
+        out[x] = v if v in points else m.zero
+    return out
+
+
+def _assignments(values, variables):
+    """Every assignment of the values to the variables, in product order."""
+    for combo in itertools.product(values, repeat=len(variables)):
+        yield dict(zip(variables, combo))
+
+
 def term_value(
     m: Interpretation, t: Term, env: Assignment, mode: str = "standard"
 ) -> int:
-    """Value of t under env.  Unassigned variables read as zero.
+    """Value of t under env.  Unassigned variables read as zero, and so
+    does an assigned value outside the points of the mode."""
+    return _value(m, t, _read(m, env, _points(m, mode)))
 
-    In parameterized mode a variable lookup yielding a value outside the
-    numeral image is replaced by zero; everything else is untouched.
-    """
+
+def _value(m: Interpretation, t: Term, env: Assignment) -> int:
     if isinstance(t, Var):
-        v = env.get(t.index, m.zero)
-        if not 0 <= v < m.size:
-            raise ModelError(f"assignment sends x{t.index} outside the domain")
-        if mode == "parameterized" and v not in numeral_image(m):
-            return m.zero
-        return v
+        return env.get(t.index, m.zero)
     if isinstance(t, Zero):
         return m.zero
     if isinstance(t, BigNumeral):
@@ -272,52 +294,42 @@ def term_value(
         while isinstance(t, Succ):
             succs += 1
             t = t.arg
-        return _apply_succ(m, term_value(m, t, env, mode), succs)
+        return _apply_succ(m, _value(m, t, env), succs)
     if isinstance(t, Add):
-        return m.add[term_value(m, t.left, env, mode)][
-            term_value(m, t.right, env, mode)
-        ]
+        return m.add[_value(m, t.left, env)][_value(m, t.right, env)]
     if isinstance(t, Mul):
-        return m.mul[term_value(m, t.left, env, mode)][
-            term_value(m, t.right, env, mode)
-        ]
+        return m.mul[_value(m, t.left, env)][_value(m, t.right, env)]
     raise TypeError(f"not a term: {t!r}")
 
 
 def satisfies(
     m: Interpretation, env: Assignment, f: Formula, mode: str = "standard"
 ) -> bool:
-    """Tarski satisfaction under the chosen mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    """Tarski satisfaction with the variables ranging over the points of
+    the mode; env is read as in term_value."""
+    points = _points(m, mode)
+    return _sat(m, points, _read(m, env, points), f)
+
+
+def _sat(m: Interpretation, points, env: Assignment, f: Formula) -> bool:
     if isinstance(f, Eq):
-        return bool(
-            m.eq[term_value(m, f.left, env, mode)][
-                term_value(m, f.right, env, mode)
-            ]
-        )
+        return bool(m.eq[_value(m, f.left, env)][_value(m, f.right, env)])
     if isinstance(f, Not):
-        return not satisfies(m, env, f.body, mode)
+        return not _sat(m, points, env, f.body)
     if isinstance(f, Implies):
-        return (not satisfies(m, env, f.left, mode)) or satisfies(
-            m, env, f.right, mode
-        )
+        return not _sat(m, points, env, f.left) or _sat(m, points, env, f.right)
     if isinstance(f, ForAll):
-        return all(
-            satisfies(m, {**env, f.index: d}, f.body, mode)
-            for d in range(m.size)
-        )
+        return all(_sat(m, points, {**env, f.index: d}, f.body) for d in points)
     raise TypeError(f"not a formula: {f!r}")
 
 
 def is_true(m: Interpretation, f: Formula, mode: str = "standard") -> bool:
-    """Truth: satisfaction under every assignment to the free variables."""
-    fv = sorted(free_vars(f))
-    if not fv:
-        return satisfies(m, {}, f, mode)
+    """Truth: satisfaction under every assignment of points to the free
+    variables."""
+    points = _points(m, mode)
     return all(
-        satisfies(m, dict(zip(fv, combo)), f, mode)
-        for combo in itertools.product(range(m.size), repeat=len(fv))
+        _sat(m, points, env, f)
+        for env in _assignments(points, sorted(free_vars(f)))
     )
 
 
@@ -570,10 +582,6 @@ def _random_formula(rng: random.Random, depth: int) -> Formula:
 # metacheck
 
 
-FAMILIES = ("A1", "A2", "A3", "A4", "A5", "rules", "duality", "substitution",
-            "collapse", "chain")
-
-
 @dataclass(frozen=True)
 class Violation:
     family: str
@@ -608,144 +616,109 @@ class MetacheckReport:
         return "\n".join([head] + [str(v) for v in self.violations])
 
 
-def _check_families(
-    m: Interpretation, families: tuple[str, ...], mode: str
-) -> list[Violation]:
-    out = []
-    image = numeral_image(m)
-    for family in families:
-        if family in A_INSTANCES:
-            for inst in A_INSTANCES[family]:
-                if not is_true(m, inst, mode):
-                    out.append(
-                        Violation(family, m, f"instance not true: {inst}")
-                    )
-            continue
-        if family == "rules":
-            for a, b in MP_PAIRS:
-                imp = Implies(a, b)
-                if (
-                    is_true(m, a, mode)
-                    and is_true(m, imp, mode)
-                    and not is_true(m, b, mode)
-                ):
-                    out.append(
-                        Violation(
-                            family, m, f"detachment loses truth: {a} with {imp}"
-                        )
-                    )
-            for x, b in GEN_CASES:
-                if is_true(m, b, mode) and not is_true(m, ForAll(x, b), mode):
-                    out.append(
-                        Violation(
-                            family,
-                            m,
-                            f"generalisation loses truth: {b} over x{x}",
-                        )
-                    )
-            continue
-        if family == "duality":
-            for x, b in DUALITY_CASES:
-                fv = sorted(free_vars(b) | {x})
-                for combo in itertools.product(range(m.size), repeat=len(fv)):
-                    env = dict(zip(fv, combo))
-                    direct = any(
-                        satisfies(m, {**env, x: d}, b, mode)
-                        for d in range(m.size)
-                    )
-                    sugared = satisfies(m, env, exists(x, b), mode)
-                    if direct != sugared:
-                        out.append(
-                            Violation(
-                                family,
-                                m,
-                                f"existential duality breaks for x{x} in {b}"
-                                f" at {env}",
-                            )
-                        )
-                        break
-            continue
-        if family == "substitution":
-            for b, x, t_text in SUBSTITUTION_CASES:
-                t = parse_term(t_text)
-                sub = substitute(b, x, t)
-                fv = sorted((free_vars(b) - {x}) | free_vars(t))
-                bad = None
-                for combo in itertools.product(range(m.size), repeat=len(fv)):
-                    env = dict(zip(fv, combo))
-                    lhs = satisfies(m, env, sub, mode)
-                    rhs = satisfies(
-                        m,
-                        {**env, x: term_value(m, t, env, mode)},
-                        b,
-                        mode,
-                    )
-                    if lhs != rhs:
-                        bad = env
-                        break
-                if bad is not None:
-                    out.append(
-                        Violation(
-                            family,
-                            m,
-                            f"substitution lemma breaks for {t_text} into x{x}"
-                            f" of {b} at {bad}",
-                        )
-                    )
-            continue
-        if family == "collapse":
-            points = image if mode == "parameterized" else tuple(range(m.size))
-            for x, b in collapse_suite():
-                lhs = is_true(m, ForAll(x, b), mode)
-                fv = sorted(free_vars(b) - {x})
-                rhs = all(
-                    satisfies(m, {**dict(zip(fv, combo)), x: d}, b, mode)
-                    for combo in itertools.product(
-                        range(m.size), repeat=len(fv)
-                    )
-                    for d in points
+def numeral_chain(
+    m: Interpretation, x: int, b: Formula, mode: str
+) -> tuple[bool, list[bool]]:
+    """Truth of forall x . b, and of b with each numeral 0..|image| put
+    for x; those numerals reach every point of the numeral image."""
+    universal = is_true(m, ForAll(x, b), mode)
+    instances = [
+        is_true(m, substitute(b, x, numeral(k)), mode)
+        for k in range(len(numeral_image(m)) + 1)
+    ]
+    return universal, instances
+
+
+# each law yields the detail of every violation it finds in one model
+
+
+def _instances_law(instances, m, mode):
+    for inst in instances:
+        if not is_true(m, inst, mode):
+            yield f"instance not true: {inst}"
+
+
+def _rules_law(m, mode):
+    for a, b in MP_PAIRS:
+        imp = Implies(a, b)
+        if (
+            is_true(m, a, mode)
+            and is_true(m, imp, mode)
+            and not is_true(m, b, mode)
+        ):
+            yield f"detachment loses truth: {a} with {imp}"
+    for x, b in GEN_CASES:
+        if is_true(m, b, mode) and not is_true(m, ForAll(x, b), mode):
+            yield f"generalisation loses truth: {b} over x{x}"
+
+
+def _duality_law(m, mode):
+    domain = range(m.size)
+    for x, b in DUALITY_CASES:
+        for env in _assignments(domain, sorted(free_vars(b) | {x})):
+            direct = any(satisfies(m, {**env, x: d}, b, mode) for d in domain)
+            if direct != satisfies(m, env, exists(x, b), mode):
+                yield f"existential duality breaks for x{x} in {b} at {env}"
+                break
+
+
+def _substitution_law(m, mode):
+    for b, x, t_text in SUBSTITUTION_CASES:
+        t = parse_term(t_text)
+        sub = substitute(b, x, t)
+        fv = sorted((free_vars(b) - {x}) | free_vars(t))
+        for env in _assignments(range(m.size), fv):
+            lhs = satisfies(m, env, sub, mode)
+            rhs = satisfies(m, {**env, x: term_value(m, t, env, mode)}, b, mode)
+            if lhs != rhs:
+                yield (
+                    f"substitution lemma breaks for {t_text} into x{x}"
+                    f" of {b} at {env}"
                 )
-                if lhs != rhs:
-                    out.append(
-                        Violation(
-                            family,
-                            m,
-                            f"quantifier collapse mismatch for x{x} in {b}",
-                        )
-                    )
-            continue
-        if family == "chain":
-            # numerals reach every image point; universal truth must
-            # imply every numeral instance, and in parameterized mode
-            # the instances must add back up to the universal claim
-            for x, b in CHAIN_CASES:
-                universal = is_true(m, ForAll(x, b), mode)
-                instances = all(
-                    is_true(m, substitute(b, x, numeral(k)), mode)
-                    for k in range(len(image) + 1)
-                )
-                if universal and not instances:
-                    out.append(
-                        Violation(
-                            family,
-                            m,
-                            f"a numeral instance of x{x} escapes {b}",
-                        )
-                    )
-                elif (
-                    mode == "parameterized" and instances and not universal
-                ):
-                    out.append(
-                        Violation(
-                            family,
-                            m,
-                            f"numeral instances of x{x} do not lift to the "
-                            f"universal claim {b}",
-                        )
-                    )
-            continue
-        raise ValueError(f"unknown family {family!r}")
-    return out
+                break
+
+
+def _collapse_law(m, mode):
+    points = _points(m, mode)
+    for x, b in collapse_suite():
+        lhs = is_true(m, ForAll(x, b), mode)
+        rhs = all(
+            satisfies(m, {**env, x: d}, b, mode)
+            for env in _assignments(range(m.size), sorted(free_vars(b) - {x}))
+            for d in points
+        )
+        if lhs != rhs:
+            yield f"quantifier collapse mismatch for x{x} in {b}"
+
+
+def _chain_law(m, mode):
+    # universal truth must imply every numeral instance; where every point
+    # is the value of a numeral (always in parameterized mode) the
+    # instances must also add back up to the universal claim
+    covered = set(_points(m, mode)) <= set(numeral_image(m))
+    for x, b in CHAIN_CASES:
+        universal, instances = numeral_chain(m, x, b, mode)
+        if universal and not all(instances):
+            yield f"a numeral instance of x{x} escapes {b}"
+        elif covered and all(instances) and not universal:
+            yield (
+                f"numeral instances of x{x} do not lift to the "
+                f"universal claim {b}"
+            )
+
+
+LAWS = {
+    **{
+        family: partial(_instances_law, instances)
+        for family, instances in A_INSTANCES.items()
+    },
+    "rules": _rules_law,
+    "duality": _duality_law,
+    "substitution": _substitution_law,
+    "collapse": _collapse_law,
+    "chain": _chain_law,
+}
+FAMILIES = tuple(LAWS)
 
 
 def metacheck(
@@ -759,10 +732,8 @@ def metacheck(
     size 1..max_size (or until the budget runs out)."""
     families = tuple(families)
     for family in families:
-        if family not in FAMILIES:
+        if family not in LAWS:
             raise ValueError(f"unknown family {family!r}")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     if budget != "full" and (not isinstance(budget, int) or budget < 1):
         raise ValueError("budget must be 'full' or a positive integer")
 
@@ -775,7 +746,11 @@ def metacheck(
                 exhausted = False
                 break
             examined += 1
-            violations.extend(_check_families(m, families, mode))
+            violations.extend(
+                Violation(family, m, detail)
+                for family in families
+                for detail in LAWS[family](m, mode)
+            )
         if not exhausted:
             break
     return MetacheckReport(

@@ -168,6 +168,29 @@ def test_chain_divergent_under_param(witness_file, capsys):
     assert "chain: consistent" in out
 
 
+def test_chain_lists_instances_then_the_universal_claim(witness_file, capsys):
+    # the numerals all denote 0, but forall x2 also sees the element 1
+    assert main(["chain", witness_file, "2", "(x2 = 0)"]) == 1
+    assert capsys.readouterr().out == (
+        "instance 0: true\ninstance 1: true\nuniversal: false\n"
+        "chain: divergent\n")
+
+
+def test_main_restores_the_digit_limit(capsys):
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter default
+    try:
+        assert main(["num", "3"]) == 0
+        assert main(["decode", "junk"]) == 2
+        with pytest.raises(SystemExit):
+            main(["no-such-command"])
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(outer)
+
+
 def test_metacheck_exit_codes(capsys):
     assert main(["metacheck", "--size", "1", "--families", "A1"]) == 0
     assert "0 violation(s)" in capsys.readouterr().out

@@ -8,6 +8,7 @@ import pytest
 from arithlab.models import (
     A_INSTANCES,
     FAMILIES,
+    MODES,
     WITNESS_INSTANCE,
     WITNESS_MODEL,
     Interpretation,
@@ -135,6 +136,19 @@ def test_satisfies_and_is_true():
 def test_mode_validation():
     with pytest.raises(ValueError):
         is_true(STANDARD_TWO, parse_formula("(0 = 0)"), mode="sideways")
+    with pytest.raises(ValueError):
+        term_value(STANDARD_TWO, parse_term("x1"), {}, mode="sideways")
+    with pytest.raises(ValueError):
+        satisfies(STANDARD_TWO, {}, parse_formula("(0 = 0)"), mode="sideways")
+
+
+def test_assignment_outside_the_domain_is_refused():
+    f = parse_formula("(x1 = 0)")
+    for mode in MODES:
+        with pytest.raises(ModelError):
+            satisfies(STANDARD_TWO, {1: 0, 5: 2}, f, mode)  # x5 is not read
+        with pytest.raises(ModelError):
+            term_value(STANDARD_TWO, parse_term("0"), {1: -1}, mode)
 
 
 def test_witness_model_replay():
@@ -270,6 +284,29 @@ def test_metacheck_substitution_family_parameterized_only():
     assert clean.violations == ()
     dirty = metacheck(2, ("substitution",), mode="parameterized")
     assert dirty.violations
+
+
+def test_families_keep_their_order():
+    assert FAMILIES == ("A1", "A2", "A3", "A4", "A5", "rules", "duality",
+                        "substitution", "collapse", "chain")
+
+
+# violations among the first 300 interpretations in enumeration order
+# (the one of size 1, then 299 of size 2); the full size-2 sweep takes
+# too long for every run of the suite
+FIRST_300_VIOLATIONS = {
+    "standard": dict.fromkeys(FAMILIES, 0),
+    "parameterized": {**dict.fromkeys(FAMILIES, 0),
+                      "A4": 128, "substitution": 147},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_violation_counts_on_the_first_300_interpretations(family, mode):
+    report = metacheck(2, (family,), mode, budget=300)
+    assert report.examined == 300
+    assert len(report.violations) == FIRST_300_VIOLATIONS[mode][family]
 
 
 def test_metacheck_report_str_shape():

@@ -251,7 +251,7 @@ def test_deep_nesting_round_trips_through_codes(kinds):
 
 @pytest.fixture()
 def default_digit_limit():
-    # cli.main lifts the int-string digit limit for the whole process
+    # the limit can be set for the process (PYTHONINTMAXSTRDIGITS, -X)
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this interpreter has no int-string digit limit")
     limit = sys.get_int_max_str_digits()
