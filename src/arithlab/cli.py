@@ -208,6 +208,8 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    if args.var < 1:  # diag's slot is checked by variable_code
+        raise _ArgError(f"variable index must be >= 1, got {args.var}")
     m = models.parse_interpretation(_read_file(args.model))
     formula = parse_formula(args.formula)
     universal, instances = models.numeral_chain(

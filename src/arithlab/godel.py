@@ -14,22 +14,27 @@ f_1^2 (plus)  f_2^2 (times)  A_1^2 (equality):
     (B -> C)      ( B -> C )
     forall x_k.B  ( ( forall x_k ) B )
 
-Two symbol numbering schemes:
+Variable indices start at 1.  Two symbol numbering schemes, each a table
+of the eleven fixed symbols plus a rule for the variables:
 
   mendelson   ( 3  ) 5  , 7  ~ 9  -> 11  forall 13,  x_k 13+8k,
-              a_k 7+8k,  f_k^n 1+8(2^n 3^k),  A_k^n 3+8(2^n 3^k)
-  compact     a dense enumeration from 1, variables x_k at 11+k
+              a_1 7+8,  f_k^n 1+8(2^n 3^k),  A_1^2 3+8(2^2 3)
+  compact     ( 1  ) 2  , 3  ~ 4  -> 5  forall 6,  x_k 11+k,
+              a_1 7,  f_1^1 8,  f_1^2 9,  f_2^2 10,  A_1^2 11
 
 and two sequence encodings:
 
   prime       product of p_i ^ code(u_i) over the first primes; faithful
-              to the textbook construction but explodes quickly, so a
-              feasibility guard (max_symbols, max_code_bits) rejects
+              to the textbook construction but explodes quickly, so the
+              feasibility guards MAX_SYMBOLS and MAX_CODE_BITS reject
               anything large with a loud error instead of grinding
-  pairing     a binary stream: a leading 1 bit, then each symbol as a
-              self-delimiting (Elias gamma) chunk; numerals are kept as a
-              single run-length chunk, so the numeral for n costs
-              O(log n) bits and diagonal-sized codes stay workable
+  pairing     a binary stream: a leading 1 bit, then each symbol code
+              plus one as a self-delimiting (Elias gamma) chunk; the
+              numeral for n is the chunk 1 followed by the chunk n, so it
+              costs O(log n) bits and diagonal-sized codes stay workable
+
+Decoding writes numerals up to EXPAND_MAX as explicit S chains and
+larger ones as num(n) nodes.
 
 The same two-layer scheme encodes proofs: a proof code is the sequence
 code of its line formulas' expression codes.  Justifications are not
@@ -92,6 +97,11 @@ SCHEMES = ("mendelson", "compact")
 SEQ_ENCODINGS = ("prime", "pairing")
 
 _MAX_PRIMES = 10_000  # factorisation cap for decoded sequences
+# Feasibility guards of the prime encoding; the pairing encoding grows
+# linearly and needs none.
+MAX_SYMBOLS = 64
+MAX_CODE_BITS = 4096
+EXPAND_MAX = 500  # largest numeral decoded as an explicit S chain
 
 
 class NumberingError(Exception):
@@ -108,19 +118,10 @@ class InfeasibleMagnitudeError(NumberingError):
 
 @dataclass(frozen=True)
 class NumberingConfig:
-    """Scheme and sequence-encoding selection plus feasibility guards.
-
-    max_symbols and max_code_bits guard the prime encoding only; the
-    pairing encoding grows linearly and needs no guard.  expand_max is
-    the largest numeral materialised as an explicit S chain on decode;
-    larger numerals decode to compact num(n) nodes.
-    """
+    """Symbol numbering scheme and sequence encoding."""
 
     scheme: str = "mendelson"
     seq: str = "prime"
-    max_symbols: int = 64
-    max_code_bits: int = 4096
-    expand_max: int = 500
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -131,46 +132,35 @@ class NumberingConfig:
 
 DEFAULT_CONFIG = NumberingConfig()
 
-_COMPACT_CODES = {
-    LPAREN: 1,
-    RPAREN: 2,
-    COMMA: 3,
-    NEG: 4,
-    IMP: 5,
-    FORALL: 6,
-    ZERO_CONST: 7,
-    SUCC_FN: 8,
-    ADD_FN: 9,
-    MUL_FN: 10,
-    EQ_PRED: 11,
+# The codes of the eleven fixed symbols, per scheme.
+_SYMBOL_CODES = {
+    "mendelson": {
+        LPAREN: 3, RPAREN: 5, COMMA: 7, NEG: 9, IMP: 11, FORALL: 13,
+        ZERO_CONST: 15, SUCC_FN: 49, ADD_FN: 97, MUL_FN: 289, EQ_PRED: 99,
+    },
+    "compact": {
+        LPAREN: 1, RPAREN: 2, COMMA: 3, NEG: 4, IMP: 5, FORALL: 6,
+        ZERO_CONST: 7, SUCC_FN: 8, ADD_FN: 9, MUL_FN: 10, EQ_PRED: 11,
+    },
 }
-_COMPACT_BY_CODE = {code: sym for sym, code in _COMPACT_CODES.items()}
-
-_MENDELSON_PUNCT = {LPAREN: 3, RPAREN: 5, COMMA: 7, NEG: 9, IMP: 11, FORALL: 13}
-_MENDELSON_PUNCT_BY_CODE = {code: sym for sym, code in _MENDELSON_PUNCT.items()}
-
-_LANGUAGE_FNS = {(1, 1), (2, 1), (2, 2)}
+_SYMBOLS_BY_CODE = {
+    scheme: {code: sym for sym, code in codes.items()}
+    for scheme, codes in _SYMBOL_CODES.items()
+}
+# x_k, for k >= 1, has code base + step * k
+_VARIABLE_RULE = {"mendelson": (13, 8), "compact": (11, 1)}
 
 
 def sym_code(symbol: Symbol, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     """The numeric code of an alphabet symbol under the configured scheme."""
-    if config.scheme == "mendelson":
-        if symbol in _MENDELSON_PUNCT:
-            return _MENDELSON_PUNCT[symbol]
-        kind = symbol[0]
-        if kind == "var":
-            return 13 + 8 * symbol[1]
-        if kind == "const":
-            return 7 + 8 * symbol[1]
-        if kind == "fn" and (symbol[1], symbol[2]) in _LANGUAGE_FNS:
-            return 1 + 8 * (2 ** symbol[1] * 3 ** symbol[2])
-        if kind == "pred" and symbol == EQ_PRED:
-            return 3 + 8 * (2 ** symbol[1] * 3 ** symbol[2])
-        raise NumberingError(f"not a symbol of the language: {symbol!r}")
-    if symbol in _COMPACT_CODES:
-        return _COMPACT_CODES[symbol]
+    code = _SYMBOL_CODES[config.scheme].get(symbol)
+    if code is not None:
+        return code
     if symbol[0] == "var":
-        return 11 + symbol[1]
+        if symbol[1] < 1:
+            raise NumberingError(f"variable index must be >= 1, got {symbol[1]}")
+        base, step = _VARIABLE_RULE[config.scheme]
+        return base + step * symbol[1]
     raise NumberingError(f"not a symbol of the language: {symbol!r}")
 
 
@@ -178,40 +168,12 @@ def code_to_symbol(
     code: int, config: NumberingConfig = DEFAULT_CONFIG
 ) -> Symbol | None:
     """Inverse of sym_code; None when code is no language symbol's code."""
-    if code < 1:
-        return None
-    if config.scheme == "compact":
-        if code in _COMPACT_BY_CODE:
-            return _COMPACT_BY_CODE[code]
-        if code > 11:
-            return ("var", code - 11)
-        return None
-    if code in _MENDELSON_PUNCT_BY_CODE:
-        return _MENDELSON_PUNCT_BY_CODE[code]
-    if code < 15:
-        return None
-    residue = code % 8
-    payload = code // 8
-    if residue == 5:
-        return ("var", (code - 13) // 8)
-    if residue == 7:
-        return ("const", payload) if payload == 1 else None
-    if residue in (1, 3):
-        # payload must factor as 2^n 3^k for a known function or predicate
-        n = 0
-        while payload % 2 == 0:
-            payload //= 2
-            n += 1
-        k = 0
-        while payload % 3 == 0:
-            payload //= 3
-            k += 1
-        if payload != 1 or n == 0 or k == 0:
-            return None
-        if residue == 1:
-            return ("fn", n, k) if (n, k) in _LANGUAGE_FNS else None
-        return ("pred", n, k) if ("pred", n, k) == EQ_PRED else None
-    return None
+    symbol = _SYMBOLS_BY_CODE[config.scheme].get(code)
+    if symbol is not None:
+        return symbol
+    base, step = _VARIABLE_RULE[config.scheme]
+    index, rest = divmod(code - base, step)
+    return ("var", index) if index >= 1 and rest == 0 else None
 
 
 def variable_code(index: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
@@ -328,13 +290,13 @@ def _normalize_tokens(tokens: list[Token]) -> list[Token]:
     return out
 
 
-def _expand_tokens(tokens: list[Token], config: NumberingConfig) -> list[Symbol]:
+def _expand_tokens(tokens: list[Token]) -> list[Symbol]:
     """Raw symbol list, expanding numeral runs (prime encoding path)."""
     count = token_symbol_length(tokens)
-    if count > config.max_symbols:
+    if count > MAX_SYMBOLS:
         raise InfeasibleMagnitudeError(
             f"official string has {count} symbols; the prime-encoding guard "
-            f"allows {config.max_symbols}"
+            f"allows {MAX_SYMBOLS}"
         )
     out: list[Symbol] = []
     for tok in tokens:
@@ -351,7 +313,7 @@ def _expand_tokens(tokens: list[Token], config: NumberingConfig) -> list[Symbol]
 # token parsing (decode direction)
 
 
-def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
+def _parse_tokens(tokens: list[Token]) -> Expr:
     """The expression whose official string is tokens.
 
     Explicit-stack, like syntax.parse, so nesting is bounded by memory.
@@ -368,7 +330,7 @@ def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
             raise NotACodeError(f"official string malformed: expected {what}")
 
     def numeral(value: int) -> Term:
-        if value > config.expand_max:
+        if value > EXPAND_MAX:
             return BigNumeral(value)
         t: Term = Zero()
         for _ in range(value):
@@ -398,7 +360,7 @@ def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
                 i += 2
             elif toks[i + 1] == LPAREN and toks[i + 2] == FORALL:
                 var = toks[i + 3]
-                if var is None or var[0] != "var" or var[1] < 1:
+                if var is None or var[0] != "var":
                     raise NotACodeError("malformed quantifier prefix")
                 take(i + 4, RPAREN, "')' closing the quantifier prefix")
                 frames.append(("close", ForAll, var[1]))
@@ -427,8 +389,6 @@ def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
         elif tok[0] == "numrun":
             value = numeral(tok[1])
         elif tok[0] == "var":
-            if tok[1] < 1:
-                raise NotACodeError("variable index must be >= 1")
             value = Var(tok[1])
         else:
             raise NotACodeError(f"unexpected symbol in term position: {tok!r}")
@@ -455,7 +415,7 @@ def _parse_tokens(tokens: list[Token], config: NumberingConfig) -> Expr:
                     value = Succ(value)
                     i += 1
                 total = numeral_value(value)
-                if total is not None and total > config.expand_max:
+                if total is not None and total > EXPAND_MAX:
                     value = BigNumeral(total)
             else:
                 take(i, RPAREN, "')'")
@@ -486,19 +446,19 @@ def nth_prime(i: int) -> int:
     return _primes[i]
 
 
-def _encode_prime_sequence(values: list[int], config: NumberingConfig) -> int:
+def _encode_prime_sequence(values: list[int]) -> int:
     estimate = 0
     for i, value in enumerate(values):
-        if value > config.max_code_bits:
+        if value > MAX_CODE_BITS:
             raise InfeasibleMagnitudeError(
                 f"sequence entry {value} as an exponent would exceed the "
-                f"{config.max_code_bits}-bit guard"
+                f"{MAX_CODE_BITS}-bit guard"
             )
         estimate += value * nth_prime(i).bit_length()
-        if estimate > config.max_code_bits:
+        if estimate > MAX_CODE_BITS:
             raise InfeasibleMagnitudeError(
                 f"prime-encoded sequence needs about {estimate} bits; the "
-                f"guard allows {config.max_code_bits}"
+                f"guard allows {MAX_CODE_BITS}"
             )
     code = 1
     for i, value in enumerate(values):
@@ -547,36 +507,6 @@ def _read_gamma(bits: str, i: int) -> tuple[int, int]:
     return int(bits[one:end], 2), end
 
 
-def _encode_pairing_tokens(tokens: list[Token], config: NumberingConfig) -> int:
-    parts = ["1"]
-    for tok in tokens:
-        if tok[0] == "numrun":
-            parts.append(_gamma_bits(1))
-            parts.append(_gamma_bits(tok[1]))
-        else:
-            parts.append(_gamma_bits(sym_code(tok, config) + 1))
-    return int("".join(parts), 2)
-
-
-def _decode_pairing_tokens(code: int, config: NumberingConfig) -> list[Token]:
-    if code < 1:
-        raise NotACodeError("pairing codes are positive")
-    bits = bin(code)[3:]  # strip "0b" and the leading sentinel 1
-    tokens: list[Token] = []
-    i = 0
-    while i < len(bits):
-        value, i = _read_gamma(bits, i)
-        if value == 1:
-            run, i = _read_gamma(bits, i)
-            tokens.append(("numrun", run))
-            continue
-        symbol = code_to_symbol(value - 1, config)
-        if symbol is None:
-            raise NotACodeError(f"{value - 1} is not a symbol code")
-        tokens.append(symbol)
-    return tokens
-
-
 def _encode_pairing_sequence(values: list[int]) -> int:
     parts = ["1"]
     for value in values:
@@ -599,31 +529,62 @@ def _decode_pairing_sequence(code: int) -> list[int]:
 
 
 # --------------------------------------------------------------------------
+# sequence codes: the one place that picks prime or pairing
+
+
+def _encode_sequence(values: list[int], config: NumberingConfig) -> int:
+    if config.seq == "prime":
+        return _encode_prime_sequence(values)
+    return _encode_pairing_sequence(values)
+
+
+def _decode_sequence(code: int, config: NumberingConfig) -> list[int]:
+    if config.seq == "prime":
+        return _decode_prime_sequence(code)
+    return _decode_pairing_sequence(code)
+
+
+# --------------------------------------------------------------------------
 # expression codes
+#
+# An expression code is the sequence code of its official string's symbol
+# codes.  The prime encoding expands numeral runs; the pairing encoding
+# shifts each symbol code up by one and writes the numeral for n as 1, n.
 
 
 def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
     # official_tokens and meta_num give runs already normalised; the
     # sequence rewrites normalise theirs before they get here
     if config.seq == "prime":
-        symbols = _expand_tokens(tokens, config)
-        return _encode_prime_sequence(
-            [sym_code(s, config) for s in symbols], config
-        )
-    return _encode_pairing_tokens(tokens, config)
+        values = [sym_code(s, config) for s in _expand_tokens(tokens)]
+    else:
+        values = []
+        for tok in tokens:
+            if tok[0] == "numrun":
+                values += (1, tok[1])
+            else:
+                values.append(sym_code(tok, config) + 1)
+    return _encode_sequence(values, config)
 
 
 def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
-    if config.seq == "prime":
-        values = _decode_prime_sequence(code)
-        symbols: list[Token] = []
-        for value in values:
-            symbol = code_to_symbol(value, config)
-            if symbol is None:
-                raise NotACodeError(f"{value} is not a symbol code")
-            symbols.append(symbol)
-        return symbols
-    return _decode_pairing_tokens(code, config)
+    values = iter(_decode_sequence(code, config))
+    pairing = config.seq == "pairing"
+    tokens: list[Token] = []
+    for value in values:
+        if pairing:
+            if value == 1:
+                run = next(values, None)
+                if run is None:
+                    raise NotACodeError("sequence ends inside a numeral run")
+                tokens.append(("numrun", run))
+                continue
+            value -= 1
+        symbol = code_to_symbol(value, config)
+        if symbol is None:
+            raise NotACodeError(f"{value} is not a symbol code")
+        tokens.append(symbol)
+    return tokens
 
 
 def encode_expr(e: Expr, config: NumberingConfig = DEFAULT_CONFIG) -> int:
@@ -638,7 +599,7 @@ def decode_expr(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> Expr:
     """
     if not isinstance(code, int) or code < 1:
         raise NotACodeError("expression codes are positive integers")
-    return _parse_tokens(_decode_tokens(code, config), config)
+    return _parse_tokens(_decode_tokens(code, config))
 
 
 # --------------------------------------------------------------------------
@@ -656,7 +617,7 @@ def meta_num(n: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
 def meta_neg(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     """Code of the negation of the formula encoded by code."""
     tokens = _decode_tokens(code, config)
-    expr = _parse_tokens(tokens, config)
+    expr = _parse_tokens(tokens)
     if not isinstance(expr, Formula):
         raise NotACodeError("not a formula code")
     return _encode_tokens(_normalize_tokens([LPAREN, NEG, *tokens, RPAREN]), config)
@@ -681,10 +642,10 @@ def meta_sub(
     target = var_symbol[1]
 
     tokens = _decode_tokens(expr_code, config)
-    _parse_tokens(tokens, config)  # well-formedness check only
+    _parse_tokens(tokens)  # well-formedness check only
 
     term_tokens = _decode_tokens(term_code, config)
-    term_expr = _parse_tokens(term_tokens, config)
+    term_expr = _parse_tokens(term_tokens)
     if not isinstance(term_expr, Term):
         raise NotACodeError("substituent is not a term code")
     term_vars = {tok[1] for tok in term_tokens if tok[0] == "var"}
@@ -741,10 +702,9 @@ def encode_proof(
     proof: _proofs.Proof, config: NumberingConfig = DEFAULT_CONFIG
 ) -> int:
     """Sequence code of the proof's line-formula codes."""
-    line_codes = [encode_expr(line.formula, config) for line in proof.lines]
-    if config.seq == "prime":
-        return _encode_prime_sequence(line_codes, config)
-    return _encode_pairing_sequence(line_codes)
+    return _encode_sequence(
+        [encode_expr(line.formula, config) for line in proof.lines], config
+    )
 
 
 def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
@@ -757,10 +717,7 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
     try:
         if not isinstance(u, int) or not isinstance(x, int):
             return False
-        if config.seq == "prime":
-            line_codes = _decode_prime_sequence(u)
-        else:
-            line_codes = _decode_pairing_sequence(u)
+        line_codes = _decode_sequence(u, config)
         if not line_codes:
             return False
         formulas = [decode_expr(line_code, config) for line_code in line_codes]

@@ -524,11 +524,16 @@ DUALITY_CASES: tuple[tuple[int, Formula], ...] = (
 
 # successor keeps values inside the numeral image, so only terms built
 # with + or * can expose the lookup remap
-SUBSTITUTION_CASES: tuple[tuple[Formula, int, str], ...] = (
-    (_fml("(x1 = 0)"), 1, "(x2 + x2)"),
-    (_fml("(S(x1) = x2)"), 1, "(x2 * x2)"),
-    (_fml("forall x2 . (x1 = x2)"), 1, "0"),
-    (_fml("(x1 = 0)"), 1, "S(x2)"),
+SUBSTITUTION_CASES: tuple[tuple[Formula, int, Term], ...] = (
+    (_fml("(x1 = 0)"), 1, parse_term("(x2 + x2)")),
+    (_fml("(S(x1) = x2)"), 1, parse_term("(x2 * x2)")),
+    (_fml("forall x2 . (x1 = x2)"), 1, parse_term("0")),
+    (_fml("(x1 = 0)"), 1, parse_term("S(x2)")),
+)
+# each case with b[t/x] and the variables that either side reads
+_SUBSTITUTIONS = tuple(
+    (b, x, t, substitute(b, x, t), sorted((free_vars(b) - {x}) | free_vars(t)))
+    for b, x, t in SUBSTITUTION_CASES
 )
 
 CHAIN_CASES: tuple[tuple[int, Formula], ...] = (
@@ -663,16 +668,13 @@ def _duality_law(m, mode):
 
 
 def _substitution_law(m, mode):
-    for b, x, t_text in SUBSTITUTION_CASES:
-        t = parse_term(t_text)
-        sub = substitute(b, x, t)
-        fv = sorted((free_vars(b) - {x}) | free_vars(t))
+    for b, x, t, sub, fv in _SUBSTITUTIONS:
         for env in _assignments(range(m.size), fv):
             lhs = satisfies(m, env, sub, mode)
             rhs = satisfies(m, {**env, x: term_value(m, t, env, mode)}, b, mode)
             if lhs != rhs:
                 yield (
-                    f"substitution lemma breaks for {t_text} into x{x}"
+                    f"substitution lemma breaks for {t} into x{x}"
                     f" of {b} at {env}"
                 )
                 break

@@ -120,6 +120,13 @@ def test_diag_prints_identity(capsys):
     assert "sentence-code" in out
 
 
+def test_diag_refuses_variable_index_zero(capsys):
+    assert main(["diag", "(x1 = x2)", "--var", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: variable index must be >= 1, got 0\n"
+
+
 def test_represent_check_verdict_exit(capsys):
     assert main(["represent", "addition", "--check", "2,2"]) == 0
     assert "confirmed" in capsys.readouterr().out
@@ -174,6 +181,13 @@ def test_chain_lists_instances_then_the_universal_claim(witness_file, capsys):
     assert capsys.readouterr().out == (
         "instance 0: true\ninstance 1: true\nuniversal: false\n"
         "chain: divergent\n")
+
+
+def test_chain_refuses_variable_index_zero(witness_file, capsys):
+    assert main(["chain", witness_file, "0", "(x2 = 0)"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: variable index must be >= 1, got 0\n"
 
 
 def test_main_restores_the_digit_limit(capsys):

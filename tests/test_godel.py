@@ -19,6 +19,7 @@ from arithlab.godel import (
     InfeasibleMagnitudeError,
     NotACodeError,
     NumberingConfig,
+    NumberingError,
     code_to_symbol,
     decode_expr,
     encode_expr,
@@ -71,6 +72,25 @@ def test_mendelson_symbol_codes():
     assert sym_code(ADD_FN) == 97
     assert sym_code(MUL_FN) == 289
     assert sym_code(EQ_PRED) == 99
+
+
+def test_mendelson_table_is_the_textbook_arithmetic():
+    punctuation = [LPAREN, ("rparen",), ("comma",), NEG, IMP, FORALL]
+    assert [sym_code(s) for s in punctuation] == [3, 5, 7, 9, 11, 13]
+    assert sym_code(ZERO_CONST) == 7 + 8 * 1  # a_1
+    for fn in (SUCC_FN, ADD_FN, MUL_FN):
+        _, n, k = fn  # f_k^n
+        assert sym_code(fn) == 1 + 8 * 2**n * 3**k
+    assert sym_code(EQ_PRED) == 3 + 8 * 2**2 * 3  # A_1^2
+
+
+@pytest.mark.parametrize("config", [MEND_PRIME, COMPACT_PRIME])
+def test_symbols_outside_the_language_have_no_code(config):
+    for index in (0, -1):
+        with pytest.raises(NumberingError):
+            variable_code(index, config)
+    with pytest.raises(NumberingError):
+        sym_code(("const", 2), config)
 
 
 def test_variable_codes_follow_arithmetic_progression():
