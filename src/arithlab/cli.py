@@ -208,8 +208,6 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    if args.var < 1:  # diag's slot is checked by variable_code
-        raise _ArgError(f"variable index must be >= 1, got {args.var}")
     m = models.parse_interpretation(_read_file(args.model))
     formula = parse_formula(args.formula)
     universal, instances = models.numeral_chain(
@@ -395,6 +393,8 @@ def main(argv=None) -> int:
             NumberingError, primrec.PRError, models.ModelError,
             SyntaxToolError, _ArgError, ProofFormatError, OSError) as e:
         return _fail(str(e))
+    except RecursionError:  # the model evaluator and primrec still recurse
+        return _fail("input is nested too deeply for this command")
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)

@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import os
 
-from .proofs import PROPER_AXIOM_FORMULAS, Proof, ProofBuilder, format_proof
+from .proofs import Proof, ProofBuilder, format_proof, schema_instance
 from .syntax import (
     Add,
     Eq,
-    ForAll,
     Implies,
-    Not,
     Succ,
     Var,
     Zero,
@@ -35,15 +33,9 @@ def build_implication_identity() -> Proof:
     b = ProofBuilder()
     f = Eq(_ZERO, _ZERO)
     f_to_f = Implies(f, f)
-    l1 = b.axiom("A1", Implies(f, Implies(f, f)))
-    l2 = b.axiom("A1", Implies(f, Implies(f_to_f, f)))
-    l3 = b.axiom(
-        "A2",
-        Implies(
-            Implies(f, Implies(f_to_f, f)),
-            Implies(Implies(f, f_to_f), Implies(f, f)),
-        ),
-    )
+    l1 = b.axiom("A1", schema_instance("A1", B=f, C=f))
+    l2 = b.axiom("A1", schema_instance("A1", B=f, C=f_to_f))
+    l3 = b.axiom("A2", schema_instance("A2", B=f, C=f_to_f, D=f))
     l4 = b.mp(l2, l3)
     b.mp(l1, l4)
     return b.build()
@@ -52,7 +44,7 @@ def build_implication_identity() -> Proof:
 def build_gen_plus_zero() -> Proof:
     """forall x1.((x1 + 0) = x1) directly from S5 and GEN."""
     b = ProofBuilder()
-    s5 = b.axiom("S5", PROPER_AXIOM_FORMULAS["S5"])
+    s5 = b.axiom("S5", schema_instance("S5"))
     b.gen(s5, 1)
     return b.build()
 
@@ -110,10 +102,15 @@ def build_induction_left_identity() -> Proof:
     half = b.mp(unfold_sym, chain)  # (v = S(x1)) -> (u = S(x1))
     step_impl = b.imp_trans(lift, half)
     step_closed = b.gen(step_impl, 1)
-    base_f = substitute(prop, 1, _ZERO)
-    step_f = Implies(prop, substitute(prop, 1, Succ(x1)))
     ind = b.axiom(
-        "IND", Implies(base_f, Implies(ForAll(1, step_f), ForAll(1, prop)))
+        "IND",
+        schema_instance(
+            "IND",
+            x=1,
+            B=prop,
+            B0=substitute(prop, 1, _ZERO),
+            BS=substitute(prop, 1, Succ(x1)),
+        ),
     )
     halfway = b.mp(base, ind)
     b.mp(step_closed, halfway)
@@ -123,19 +120,13 @@ def build_induction_left_identity() -> Proof:
 def build_conditional_closure() -> Proof:
     """((0 = 0) -> forall x1.((x1 + 0) = x1)), exercising A5."""
     b = ProofBuilder()
-    s5f = PROPER_AXIOM_FORMULAS["S5"]
+    s5f = schema_instance("S5")
     trivial = Eq(_ZERO, _ZERO)
     s5 = b.axiom("S5", s5f)
-    weaken = b.axiom("A1", Implies(s5f, Implies(trivial, s5f)))
+    weaken = b.axiom("A1", schema_instance("A1", B=s5f, C=trivial))
     cond = b.mp(s5, weaken)
     closed = b.gen(cond, 1)
-    a5 = b.axiom(
-        "A5",
-        Implies(
-            ForAll(1, Implies(trivial, s5f)),
-            Implies(trivial, ForAll(1, s5f)),
-        ),
-    )
+    a5 = b.axiom("A5", schema_instance("A5", x=1, B=trivial, C=s5f))
     b.mp(closed, a5)
     return b.build()
 
@@ -144,8 +135,7 @@ def build_contraposition_instance() -> Proof:
     """A one-line A3 instance with B = C = (0 = 0)."""
     b = ProofBuilder()
     f = Eq(_ZERO, _ZERO)
-    nf = Not(f)
-    b.axiom("A3", Implies(Implies(nf, nf), Implies(Implies(nf, f), f)))
+    b.axiom("A3", schema_instance("A3", B=f, C=f))
     return b.build()
 
 

@@ -330,12 +330,14 @@ class _Builder:
         c = self.fresh()
         d = self.fresh()
 
-        def course(env: Env) -> list[int]:
-            return course_of_values(
-                f, tuple(env[x] for x in xs), env[n_var]
-            )
-
+        course_cache: dict[tuple, list[int]] = {}
         coeff_cache: dict[tuple, tuple[int, int]] = {}
+
+        def course(env: Env) -> list[int]:
+            key = (tuple(env[x] for x in xs), env[n_var])
+            if key not in course_cache:
+                course_cache[key] = course_of_values(f, *key)
+            return course_cache[key]
 
         def coeffs(env: Env) -> tuple[int, int]:
             key = (tuple(env[x] for x in xs), env[n_var])

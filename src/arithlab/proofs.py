@@ -19,10 +19,19 @@ A proof is a numbered sequence of formulas, each carrying a justification:
   MP i j    modus ponens: line i is B, line j is (B -> this line)
   GEN i xk  generalization: this line is forall xk . (line i)
 
-A1-A5 and IND are schemas matched structurally; S1-S8 are the eight fixed
-formulas above (general instances are derived inside proofs with GEN, A4
-and MP).  Formula comparison is up to the compact/expanded numeral
-distinction, so num(1) and S(0) are interchangeable in any slot.
+All fourteen live in one table, SCHEMAS, in that tag order.  A1-A5 and IND
+are patterns over the metavariables B, C, D, T, B0, BS (formulas) and x (a
+variable index), and three carry a side condition: A4 that the consequent
+is B with some term free for x put for x (find_instantiation), A5 that x
+is not free in B, IND that B0 is B[0/x] and BS is B[S(x)/x].  S1-S8 are
+the eight fixed formulas above (general instances are derived inside
+proofs with GEN, A4 and MP).  Each pattern is flattened once, by an
+explicit-stack walk, into the connective classes its places require and
+the metavariable each place binds; check_axiom, is_any_axiom (and so the
+arithmetized pf) read that, and schema_instance fills a pattern from its
+parts for the proof builders.  Formula comparison is up to the
+compact/expanded numeral distinction, so num(1) and S(0) are
+interchangeable in any slot.
 
 The checker walks the lines in order and reports either acceptance with
 the final formula as the theorem, or the first failing line and a reason.
@@ -38,6 +47,7 @@ where <JUST> is one of A1..A5, S1..S8, IND, "MP <i> <j>" or "GEN <i> x<k>".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .syntax import (
     Add,
@@ -61,24 +71,6 @@ from .syntax import (
     substitute,
     to_text,
 )
-
-LOGICAL_SCHEMAS = ("A1", "A2", "A3", "A4", "A5")
-PROPER_AXIOMS = ("S1", "S2", "S3", "S4", "S5", "S6", "S7", "S8")
-ALL_AXIOM_TAGS = LOGICAL_SCHEMAS + PROPER_AXIOMS + ("IND",)
-
-_x1, _x2, _x3 = Var(1), Var(2), Var(3)
-
-PROPER_AXIOM_FORMULAS: dict[str, Formula] = {
-    "S1": Implies(Eq(_x1, _x2), Implies(Eq(_x1, _x3), Eq(_x2, _x3))),
-    "S2": Implies(Eq(_x1, _x2), Eq(Succ(_x1), Succ(_x2))),
-    "S3": Not(Eq(Zero(), Succ(_x1))),
-    "S4": Implies(Eq(Succ(_x1), Succ(_x2)), Eq(_x1, _x2)),
-    "S5": Eq(Add(_x1, Zero()), _x1),
-    "S6": Eq(Add(_x1, Succ(_x2)), Succ(Add(_x1, _x2))),
-    "S7": Eq(Mul(_x1, Zero()), Zero()),
-    "S8": Eq(Mul(_x1, Succ(_x2)), Add(Mul(_x1, _x2), _x1)),
-}
-
 
 @dataclass(frozen=True)
 class Axiom:
@@ -156,57 +148,7 @@ class ProofFormatError(Exception):
 
 
 # --------------------------------------------------------------------------
-# axiom schema matching
-
-
-def _match_a1(f: Formula) -> bool:
-    # B -> (C -> B)
-    return (
-        isinstance(f, Implies)
-        and isinstance(f.right, Implies)
-        and semantic_eq(f.right.right, f.left)
-    )
-
-
-def _match_a2(f: Formula) -> bool:
-    # (B -> (C -> D)) -> ((B -> C) -> (B -> D))
-    if not (
-        isinstance(f, Implies)
-        and isinstance(f.left, Implies)
-        and isinstance(f.left.right, Implies)
-        and isinstance(f.right, Implies)
-        and isinstance(f.right.left, Implies)
-        and isinstance(f.right.right, Implies)
-    ):
-        return False
-    b, c, d = f.left.left, f.left.right.left, f.left.right.right
-    return (
-        semantic_eq(f.right.left.left, b)
-        and semantic_eq(f.right.left.right, c)
-        and semantic_eq(f.right.right.left, b)
-        and semantic_eq(f.right.right.right, d)
-    )
-
-
-def _match_a3(f: Formula) -> bool:
-    # (~C -> ~B) -> ((~C -> B) -> C)
-    if not (
-        isinstance(f, Implies)
-        and isinstance(f.left, Implies)
-        and isinstance(f.left.left, Not)
-        and isinstance(f.left.right, Not)
-        and isinstance(f.right, Implies)
-        and isinstance(f.right.left, Implies)
-        and isinstance(f.right.left.left, Not)
-    ):
-        return False
-    c, b = f.left.left.body, f.left.right.body
-    return (
-        semantic_eq(f.right.left.left.body, c)
-        and semantic_eq(f.right.left.right, b)
-        and semantic_eq(f.right.right, c)
-    )
-
+# axiom schemas
 
 def find_instantiation(body: Formula, var: int, instance: Formula) -> Term | None:
     """The term t with body[x_var := t] == instance, if one exists.
@@ -242,81 +184,129 @@ def find_instantiation(body: Formula, var: int, instance: Formula) -> Term | Non
     return t if semantic_eq(result, instance) else None
 
 
-def _match_a4(f: Formula) -> bool:
-    # forall x.B -> B(t), t free for x in B
-    return (
-        isinstance(f, Implies)
-        and isinstance(f.left, ForAll)
-        and find_instantiation(f.left.body, f.left.index, f.right) is not None
-    )
+def _ind_holds(parts: dict) -> bool:
+    # B0 = B[0/x] and BS = B[S(x)/x].  Neither substitution can capture:
+    # the only variable of 0 and S(x) is x itself.
+    b, x = parts["B"], parts["x"]
+    base, step = substitute(b, x, Zero()), substitute(b, x, Succ(Var(x)))
+    return semantic_eq(parts["B0"], base) and semantic_eq(parts["BS"], step)
 
 
-def _match_a5(f: Formula) -> bool:
-    # forall x.(B -> C) -> (B -> forall x.C), x not free in B
-    if not (
-        isinstance(f, Implies)
-        and isinstance(f.left, ForAll)
-        and isinstance(f.left.body, Implies)
-        and isinstance(f.right, Implies)
-        and isinstance(f.right.right, ForAll)
-    ):
-        return False
-    x = f.left.index
-    b, c = f.left.body.left, f.left.body.right
-    return (
-        f.right.right.index == x
-        and semantic_eq(f.right.left, b)
-        and semantic_eq(f.right.right.body, c)
-        and x not in free_vars(b)
-    )
+_x1, _x2, _x3 = Var(1), Var(2), Var(3)
+
+# tag -> (pattern, side condition on the bindings or None), in tag order.
+# A pattern is a fixed formula, a metavariable, or a tuple of a connective
+# class and the patterns of its fields in order.  The metavariables B, C,
+# D, T, B0 and BS stand for formulas, x for a variable index.
+SCHEMAS: dict[str, tuple] = {
+    "A1": ((Implies, "B", (Implies, "C", "B")), None),
+    "A2": (
+        (Implies, (Implies, "B", (Implies, "C", "D")),
+         (Implies, (Implies, "B", "C"), (Implies, "B", "D"))),
+        None,
+    ),
+    "A3": (
+        (Implies, (Implies, (Not, "C"), (Not, "B")),
+         (Implies, (Implies, (Not, "C"), "B"), "C")),
+        None,
+    ),
+    "A4": (
+        (Implies, (ForAll, "x", "B"), "T"),
+        lambda p: find_instantiation(p["B"], p["x"], p["T"]) is not None,
+    ),
+    "A5": (
+        (Implies, (ForAll, "x", (Implies, "B", "C")),
+         (Implies, "B", (ForAll, "x", "C"))),
+        lambda p: p["x"] not in free_vars(p["B"]),
+    ),
+    "S1": (Implies(Eq(_x1, _x2), Implies(Eq(_x1, _x3), Eq(_x2, _x3))), None),
+    "S2": (Implies(Eq(_x1, _x2), Eq(Succ(_x1), Succ(_x2))), None),
+    "S3": (Not(Eq(Zero(), Succ(_x1))), None),
+    "S4": (Implies(Eq(Succ(_x1), Succ(_x2)), Eq(_x1, _x2)), None),
+    "S5": (Eq(Add(_x1, Zero()), _x1), None),
+    "S6": (Eq(Add(_x1, Succ(_x2)), Succ(Add(_x1, _x2))), None),
+    "S7": (Eq(Mul(_x1, Zero()), Zero()), None),
+    "S8": (Eq(Mul(_x1, Succ(_x2)), Add(Mul(_x1, _x2), _x1)), None),
+    "IND": (
+        (Implies, "B0", (Implies, (ForAll, "x", (Implies, "B", "BS")),
+                         (ForAll, "x", "B"))),
+        _ind_holds,
+    ),
+}
+ALL_AXIOM_TAGS = tuple(SCHEMAS)
 
 
-def _match_ind(f: Formula) -> bool:
-    # B(0) -> (forall x.(B(x) -> B(S(x))) -> forall x.B(x))
-    if not (
-        isinstance(f, Implies)
-        and isinstance(f.right, Implies)
-        and isinstance(f.right.left, ForAll)
-        and isinstance(f.right.left.body, Implies)
-        and isinstance(f.right.right, ForAll)
-    ):
-        return False
-    x = f.right.right.index
-    if f.right.left.index != x:
-        return False
-    b = f.right.right.body
-    step = f.right.left.body
-    if not semantic_eq(step.left, b):
-        return False
-    try:
-        base = substitute(b, x, Zero())
-        succ_case = substitute(b, x, Succ(Var(x)))
-    except CaptureError:
-        return False
-    return semantic_eq(f.left, base) and semantic_eq(step.right, succ_case)
+def _flatten(pattern) -> tuple[list, list]:
+    """(checks, leaves) of a pattern.  A reader takes a formula to what
+    stands at one place of it.  checks pairs the reader of each connective's
+    place with the class required there, parents before children; leaves
+    pairs each metavariable or fixed formula with the reader of its place."""
+    checks, leaves = [], []
+    stack = [(pattern, "")]
+    while stack:
+        p, path = stack.pop()
+        read = attrgetter(path[1:]) if path else lambda f: f
+        if p.__class__ is tuple:
+            checks.append((read, p[0]))
+            fields = zip(p[1:], p[0].__slots__)
+            stack += [(q, f"{path}.{name}") for q, name in fields]
+        else:
+            leaves.append((p, read))
+    return checks, leaves
+
+
+_FLAT = {
+    tag: (*_flatten(pattern), side) for tag, (pattern, side) in SCHEMAS.items()
+}
+
+
+def _holds(checks: list, leaves: list, side, f: Formula) -> bool:
+    """Whether f spells a flattened pattern and its bindings meet the side
+    condition.  Every class is checked before any formula is compared; a
+    repeated metavariable or a fixed formula is compared by canonical key."""
+    for read, cls in checks:
+        if read(f).__class__ is not cls:
+            return False
+    parts: dict = {}
+    for leaf, read in leaves:
+        e = read(f)
+        if leaf.__class__ is not str:
+            if canonical_key(e) != canonical_key(leaf):
+                return False
+        elif leaf not in parts:
+            parts[leaf] = e
+        elif e.__class__ is int:
+            if e != parts[leaf]:
+                return False
+        elif canonical_key(e) != canonical_key(parts[leaf]):
+            return False
+    return side is None or side(parts)
+
+
+def schema_instance(tag: str, **parts) -> Formula:
+    """The tag's pattern with each metavariable replaced by its part: x by
+    a variable index, the others by formulas.  The side condition is not
+    checked here; check_axiom checks it."""
+
+    def fill(p):  # recursion is bounded by the pattern's depth, at most four
+        if p.__class__ is str:
+            return parts[p]
+        if p.__class__ is tuple:
+            return p[0](*map(fill, p[1:]))
+        return p
+
+    return fill(SCHEMAS[tag][0])
 
 
 def check_axiom(f: Formula, tag: str) -> bool:
     """Whether f is an instance of the named axiom (schema)."""
-    if tag == "A1":
-        return _match_a1(f)
-    if tag == "A2":
-        return _match_a2(f)
-    if tag == "A3":
-        return _match_a3(f)
-    if tag == "A4":
-        return _match_a4(f)
-    if tag == "A5":
-        return _match_a5(f)
-    if tag == "IND":
-        return _match_ind(f)
-    if tag in PROPER_AXIOM_FORMULAS:
-        return semantic_eq(f, PROPER_AXIOM_FORMULAS[tag])
-    raise ValueError(f"unknown axiom tag {tag!r}")
+    if tag not in _FLAT:
+        raise ValueError(f"unknown axiom tag {tag!r}")
+    return _holds(*_FLAT[tag], f)
 
 
 def is_any_axiom(f: Formula) -> bool:
-    return any(check_axiom(f, tag) for tag in ALL_AXIOM_TAGS)
+    return any(_holds(*flat, f) for flat in _FLAT.values())
 
 
 # --------------------------------------------------------------------------
@@ -506,7 +496,7 @@ class ProofBuilder:
     def proper_instance(self, tag: str, terms: list[Term]) -> int:
         """Derive the instance of S-axiom tag at the given terms, in
         variable order x1, x2, x3.  The terms must be closed."""
-        base = PROPER_AXIOM_FORMULAS[tag]
+        base = schema_instance(tag)
         axiom_vars = sorted(free_vars(base))
         if len(terms) != len(axiom_vars):
             raise ValueError(
@@ -521,6 +511,8 @@ class ProofBuilder:
         for var, term in zip(axiom_vars, terms):
             assert isinstance(current, ForAll)
             instantiated = substitute(current.body, var, term)
+            # current is already this A4 instance's forall x . B: reused,
+            # not rebuilt by schema_instance
             step = self.axiom("A4", Implies(current, instantiated))
             line = self.add(instantiated, ModusPonens(line, step))
             current = instantiated
@@ -563,14 +555,10 @@ class ProofBuilder:
         f_bc = self.formula(line_bc)
         assert isinstance(f_ab, Implies) and isinstance(f_bc, Implies)
         a = f_ab.left
-        weaken = self.axiom("A1", Implies(f_bc, Implies(a, f_bc)))
+        weaken = self.axiom("A1", schema_instance("A1", B=f_bc, C=a))
         nested = self.mp(line_bc, weaken)
         dist = self.axiom(
-            "A2",
-            Implies(
-                Implies(a, f_bc),
-                Implies(f_ab, Implies(a, f_bc.right)),
-            ),
+            "A2", schema_instance("A2", B=a, C=f_bc.left, D=f_bc.right)
         )
         step = self.mp(nested, dist)
         return self.mp(line_ab, step)

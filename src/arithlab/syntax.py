@@ -84,7 +84,7 @@ class Var(Term):
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+            raise NodeValueError(f"variable index must be >= 1, got {self.index}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -117,7 +117,7 @@ class BigNumeral(Term):
 
     def __post_init__(self) -> None:
         if self.value < 0:
-            raise ValueError(f"numeral value must be >= 0, got {self.value}")
+            raise NodeValueError(f"numeral value must be >= 0, got {self.value}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -144,7 +144,7 @@ class ForAll(Formula):
 
     def __post_init__(self) -> None:
         if self.index < 1:
-            raise ValueError(f"variable index must be >= 1, got {self.index}")
+            raise NodeValueError(f"variable index must be >= 1, got {self.index}")
 
 
 Expr = Term | Formula
@@ -182,6 +182,10 @@ class ParseError(SyntaxToolError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class NodeValueError(SyntaxToolError, ValueError):
+    """A variable index below 1 or a negative numeral value."""
 
 
 class CaptureError(SyntaxToolError):

@@ -149,6 +149,22 @@ def test_eval_modes(witness_file, capsys):
     assert capsys.readouterr().out == "false\n"
 
 
+DEEPLY_NESTED = "error: input is nested too deeply for this command\n"
+
+
+@pytest.mark.parametrize("prefix", ["~", "forall x1 . "])
+def test_eval_too_deep_exits_two(witness_file, capsys, prefix):
+    # the model evaluator recurses, so this depth passes Python's limit
+    assert main(["eval", witness_file, prefix * 3000 + "(x1 = 0)"]) == 2
+    assert capsys.readouterr() == ("", DEEPLY_NESTED)
+
+
+def test_represent_too_deep_exits_two(capsys):
+    text = "(comp succ " * 1200 + "succ" + ")" * 1200
+    assert main(["represent", text]) == 2
+    assert capsys.readouterr() == ("", DEEPLY_NESTED)
+
+
 def test_image(witness_file, capsys):
     assert main(["image", witness_file]) == 0
     assert capsys.readouterr().out == "0\n"

@@ -21,6 +21,7 @@ from arithlab.models import (
     is_true,
     metacheck,
     normal_interpretation,
+    numeral_chain,
     numeral_image,
     numeral_value_in,
     parse_interpretation,
@@ -29,7 +30,7 @@ from arithlab.models import (
     satisfies,
     term_value,
 )
-from arithlab.syntax import parse_formula, parse_term, to_text
+from arithlab.syntax import NodeValueError, parse_formula, parse_term, to_text
 
 STANDARD_TWO = normal_interpretation(
     size=2, zero=0, succ=(1, 0),
@@ -149,6 +150,12 @@ def test_assignment_outside_the_domain_is_refused():
             satisfies(STANDARD_TWO, {1: 0, 5: 2}, f, mode)  # x5 is not read
         with pytest.raises(ModelError):
             term_value(STANDARD_TWO, parse_term("0"), {1: -1}, mode)
+
+
+def test_numeral_chain_refuses_variable_index_zero():
+    for mode in MODES:
+        with pytest.raises(NodeValueError, match="index must be >= 1, got 0"):
+            numeral_chain(WITNESS_MODEL, 0, parse_formula("(x2 = 0)"), mode)
 
 
 def test_witness_model_replay():

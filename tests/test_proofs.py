@@ -24,9 +24,29 @@ from arithlab.proofs import (
     parse_justification,
     parse_proof,
 )
-from arithlab.syntax import ForAll, parse_formula, parse_term, to_text
+from arithlab.syntax import (
+    CaptureError,
+    Eq,
+    ForAll,
+    Implies,
+    Not,
+    Succ,
+    Var,
+    Zero,
+    free_vars,
+    parse_formula,
+    parse_term,
+    substitute,
+    to_text,
+)
 
-from conftest import deep_instance_proof, mutate_proof_line, rand_mutated_proof
+from conftest import (
+    deep_instance_proof,
+    mutate_proof_line,
+    rand_formula,
+    rand_mutated_proof,
+    rand_term,
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +128,104 @@ def test_deep_instance_is_accepted():
     # S5, GEN, A4 at S^400(x2), MP: the kernel must not hit a depth limit
     result = check_proof(deep_instance_proof(400))
     assert result.accepted, result
+
+
+FIXED_AXIOMS = {
+    "S1": "((x1 = x2) -> ((x1 = x3) -> (x2 = x3)))",
+    "S2": "((x1 = x2) -> (S(x1) = S(x2)))",
+    "S3": "~(0 = S(x1))",
+    "S4": "((S(x1) = S(x2)) -> (x1 = x2))",
+    "S5": "((x1 + 0) = x1)",
+    "S6": "((x1 + S(x2)) = S((x1 + x2)))",
+    "S7": "((x1 * 0) = 0)",
+    "S8": "((x1 * S(x2)) = ((x1 * x2) + x1))",
+}
+
+
+def seeded_instances(rng):
+    """(tag, formula) pairs: every schema filled with seeded random parts,
+    each shape spelled here independently of the kernel, plus the eight
+    fixed axioms with 0 written num(0) where it occurs."""
+    out = []
+    for _ in range(60):
+        b, c, d, body = (rand_formula(rng, 2) for _ in range(4))
+        out.append(("A1", Implies(b, Implies(c, b))))
+        out.append(("A2", Implies(Implies(b, Implies(c, d)),
+                                  Implies(Implies(b, c), Implies(b, d)))))
+        out.append(("A3", Implies(Implies(Not(c), Not(b)),
+                                  Implies(Implies(Not(c), b), c))))
+        x = rng.randint(1, 4)  # rand_formula never uses x4
+        try:
+            out.append(("A4", Implies(ForAll(x, body),
+                                      substitute(body, x, rand_term(rng, 2)))))
+        except CaptureError:
+            pass
+        if x not in free_vars(b):
+            out.append(("A5", Implies(ForAll(x, Implies(b, c)),
+                                      Implies(b, ForAll(x, c)))))
+        base = substitute(body, x, Zero())
+        step = Implies(body, substitute(body, x, Succ(Var(x))))
+        out.append(("IND", Implies(base, Implies(ForAll(x, step),
+                                                 ForAll(x, body)))))
+    for tag, text in FIXED_AXIOMS.items():
+        out.append((tag, parse_formula(text)))
+        out.append((tag, parse_formula(text.replace("0", "num(0)"))))
+    return out
+
+
+def test_seeded_schema_instances_are_accepted_under_their_tag():
+    instances = seeded_instances(random.Random(5150))
+    assert {tag for tag, _ in instances} == set(ALL_AXIOM_TAGS)
+    for tag, f in instances:
+        assert check_axiom(f, tag), (tag, to_text(f))
+
+
+def test_negated_or_weakened_instances_are_no_axiom():
+    false_eq = Eq(Zero(), Succ(Zero()))
+    for tag, f in seeded_instances(random.Random(5150)):
+        assert not is_any_axiom(Not(f)), (tag, to_text(f))
+        assert not is_any_axiom(Implies(f, false_eq)), (tag, to_text(f))
+
+
+# Each is one slot or one index away from an instance of its tag.
+NEAR_MISSES = [
+    # A2 with each of its four repeated slots changed in turn
+    ("A2", "(((0 = 0) -> ((x1 = 0) -> (x2 = 0))) -> "
+           "(((x3 = 0) -> (x1 = 0)) -> ((0 = 0) -> (x2 = 0))))"),
+    ("A2", "(((0 = 0) -> ((x1 = 0) -> (x2 = 0))) -> "
+           "(((0 = 0) -> (x3 = 0)) -> ((0 = 0) -> (x2 = 0))))"),
+    ("A2", "(((0 = 0) -> ((x1 = 0) -> (x2 = 0))) -> "
+           "(((0 = 0) -> (x1 = 0)) -> ((x3 = 0) -> (x2 = 0))))"),
+    ("A2", "(((0 = 0) -> ((x1 = 0) -> (x2 = 0))) -> "
+           "(((0 = 0) -> (x1 = 0)) -> ((0 = 0) -> (x3 = 0))))"),
+    # A3 with each of its three repeated slots changed in turn
+    ("A3", "((~(x1 = 0) -> ~(0 = 0)) -> ((~(x3 = 0) -> (0 = 0)) -> (x1 = 0)))"),
+    ("A3", "((~(x1 = 0) -> ~(0 = 0)) -> ((~(x1 = 0) -> (x3 = 0)) -> (x1 = 0)))"),
+    ("A3", "((~(x1 = 0) -> ~(0 = 0)) -> ((~(x1 = 0) -> (0 = 0)) -> (x3 = 0)))"),
+    # A5 whose two binders differ
+    ("A5", "(forall x1 . ((0 = 0) -> (x1 = x1)) -> "
+           "((0 = 0) -> forall x2 . (x1 = x1)))"),
+    # IND with a wrong base, a wrong step, and binders that differ
+    ("IND", "(((0 + 0) = S(0)) -> "
+            "(forall x2 . (((x2 + 0) = x2) -> ((S(x2) + 0) = S(x2))) -> "
+            "forall x2 . ((x2 + 0) = x2)))"),
+    ("IND", "(((0 + 0) = 0) -> "
+            "(forall x2 . (((x2 + 0) = x2) -> ((S(x2) + 0) = x2)) -> "
+            "forall x2 . ((x2 + 0) = x2)))"),
+    ("IND", "(((0 + 0) = 0) -> "
+            "(forall x1 . (((x2 + 0) = x2) -> ((S(x2) + 0) = S(x2))) -> "
+            "forall x2 . ((x2 + 0) = x2)))"),
+    # IND whose base and step put 0 and S(x1) under the binder of x1, as a
+    # capturing substitution would: B[t/x1] leaves the bound x1 alone
+    ("IND", "(forall x1 . (0 = x2) -> "
+            "(forall x1 . (forall x1 . (x1 = x2) -> forall x1 . (S(x1) = x2)) -> "
+            "forall x1 . forall x1 . (x1 = x2)))"),
+]
+
+
+@pytest.mark.parametrize("tag,text", NEAR_MISSES)
+def test_near_misses_are_not_instances(tag, text):
+    assert not check_axiom(parse_formula(text), tag)
 
 
 def test_check_axiom_rejects_unknown_tag():

@@ -13,9 +13,11 @@ from arithlab.syntax import (
     ForAll,
     Implies,
     Mul,
+    NodeValueError,
     Not,
     ParseError,
     Succ,
+    SyntaxToolError,
     Var,
     Zero,
     canon_numerals,
@@ -124,6 +126,11 @@ def test_var_and_numeral_validation():
         Var(0)
     with pytest.raises(ValueError):
         BigNumeral(-1)
+    for make in (lambda: Var(0), lambda: ForAll(-2, parse_formula("(0 = 0)")),
+                 lambda: BigNumeral(-1)):
+        with pytest.raises(NodeValueError):
+            make()
+    assert issubclass(NodeValueError, SyntaxToolError)
 
 
 def test_free_vars():
