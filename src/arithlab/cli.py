@@ -161,6 +161,8 @@ def cmd_diag(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    if args.bound < 0:
+        return _fail(f"--bound must be nonnegative, got {args.bound}")
     func = primrec.parse_pr(args.function)
     rep = primrec.represent(func)
     print(f"arity {func.arity}")
@@ -222,6 +224,8 @@ def cmd_chain(args) -> int:
 
 
 def cmd_metacheck(args) -> int:
+    if args.size < 1:
+        return _fail(f"--size must be at least 1, got {args.size}")
     budget: int | str
     if args.budget == "full":
         budget = "full"
@@ -231,6 +235,8 @@ def cmd_metacheck(args) -> int:
         except ValueError:
             return _fail(f"--budget takes an integer or 'full', got {args.budget!r}")
     families = tuple(tok for tok in args.families.split(",") if tok)
+    if not families:
+        return _fail(f"--families names no family, got {args.families!r}")
     try:
         report = models.metacheck(
             args.size, families, _MODE_NAMES[args.mode], budget, args.eq
@@ -393,7 +399,7 @@ def main(argv=None) -> int:
             NumberingError, primrec.PRError, models.ModelError,
             SyntaxToolError, _ArgError, ProofFormatError, OSError) as e:
         return _fail(str(e))
-    except RecursionError:  # the model evaluator and primrec still recurse
+    except RecursionError:  # tarski's antecedents, terms and primrec recurse
         return _fail("input is nested too deeply for this command")
     finally:
         if limit is not None:

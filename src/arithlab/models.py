@@ -1,24 +1,27 @@
-"""Finite interpretations and two satisfaction modes.
+"""Finite interpretations, two satisfaction modes, and tarski, the one
+satisfaction relation of arithlab.
 
 An Interpretation fixes a finite domain 0..size-1 with a distinguished
 zero, a successor table, binary tables for plus and times, and a truth
 table for the equality predicate.  Normal means equality is interpreted
 as identity.
 
-Both modes use the usual Tarski clauses and differ only in what the
-variables range over:
+tarski has the usual clauses; its caller decides equations and says what
+each quantifier ranges over.  primrec's certificates decide equations in
+the naturals, over the ranges their formulas recorded.  Here equations
+are table lookups, and the two modes differ only in the points that the
+quantifiers, and the sweep over free variables in is_true, range over:
 
   standard       the whole domain
   parameterized  the numeral image, the closure of zero under successor,
                  so all and only the values of the numerals
 
-Quantifiers, and the sweep over free variables in is_true, range over
-those points.  An assignment handed to satisfies or term_value may use
-any domain element; a value outside the points reads as zero.  Where
-that range restriction makes familiar logical laws fail is what
-metacheck hunts for: it enumerates small interpretations and evaluates
-pinned instance families, reporting every (interpretation, instance)
-pair on which an expected law breaks.
+An assignment handed to satisfies or term_value may use any domain
+element; a value outside the points reads as zero.  Where that range
+restriction makes familiar logical laws fail is what metacheck hunts
+for: it enumerates small interpretations and evaluates pinned instance
+families, reporting every (interpretation, instance) pair on which an
+expected law breaks.
 """
 
 from __future__ import annotations
@@ -50,6 +53,10 @@ from .syntax import (
 )
 
 MODES = ("standard", "parameterized")
+
+# the most algebras a budget="full" metacheck may sweep: sizes up to 2
+# give 2049, size 3 alone about 3.1e10 (congruent eq tables add more)
+FULL_SWEEP_LIMIT = 10**6
 
 
 class ModelError(Exception):
@@ -302,35 +309,61 @@ def _value(m: Interpretation, t: Term, env: Assignment) -> int:
     raise TypeError(f"not a term: {t!r}")
 
 
+def tarski(f: Formula, env: Assignment, atom, over) -> bool:
+    """Tarski satisfaction of f under env.
+
+    atom(eq, env) decides an equation; over(index, env) gives the values
+    a quantifier of x_index ranges over (none makes it true).  Negations,
+    consequents and a quantifier's last value are followed in this frame
+    through a polarity flag: only antecedents and other values nest.
+    """
+    positive = True
+    while True:
+        cls = f.__class__
+        if cls is Eq:
+            return positive if atom(f, env) else not positive
+        if cls is Not:
+            positive = not positive
+            f = f.body
+        elif cls is Implies:
+            if not tarski(f.left, env, atom, over):
+                return positive
+            f = f.right
+        elif cls is ForAll:
+            x = f.index
+            f = f.body
+            values = iter(over(x, env))
+            last = next(values, None)
+            if last is None:
+                return positive
+            for d in values:
+                if not tarski(f, {**env, x: last}, atom, over):
+                    return not positive
+                last = d
+            env = {**env, x: last}
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+
+
 def satisfies(
     m: Interpretation, env: Assignment, f: Formula, mode: str = "standard"
 ) -> bool:
     """Tarski satisfaction with the variables ranging over the points of
     the mode; env is read as in term_value."""
     points = _points(m, mode)
-    return _sat(m, points, _read(m, env, points), f)
 
+    def atom(eq: Eq, env: Assignment):
+        return m.eq[_value(m, eq.left, env)][_value(m, eq.right, env)]
 
-def _sat(m: Interpretation, points, env: Assignment, f: Formula) -> bool:
-    if isinstance(f, Eq):
-        return bool(m.eq[_value(m, f.left, env)][_value(m, f.right, env)])
-    if isinstance(f, Not):
-        return not _sat(m, points, env, f.body)
-    if isinstance(f, Implies):
-        return not _sat(m, points, env, f.left) or _sat(m, points, env, f.right)
-    if isinstance(f, ForAll):
-        return all(_sat(m, points, {**env, f.index: d}, f.body) for d in points)
-    raise TypeError(f"not a formula: {f!r}")
+    return tarski(f, _read(m, env, points), atom, lambda x, env: points)
 
 
 def is_true(m: Interpretation, f: Formula, mode: str = "standard") -> bool:
-    """Truth: satisfaction under every assignment of points to the free
-    variables."""
-    points = _points(m, mode)
-    return all(
-        _sat(m, points, env, f)
-        for env in _assignments(points, sorted(free_vars(f)))
-    )
+    """Truth: satisfaction of the universal closure, so every assignment
+    of points to the free variables satisfies f."""
+    for x in free_vars(f):
+        f = ForAll(x, f)
+    return satisfies(m, {}, f, mode)
 
 
 def restrict(m: Interpretation) -> Interpretation:
@@ -731,23 +764,37 @@ def metacheck(
     eq_tables: str = "identity",
 ) -> MetacheckReport:
     """Evaluate the pinned instance families over every interpretation of
-    size 1..max_size (or until the budget runs out)."""
+    size 1..max_size (or until the budget runs out).  A cut report gives
+    the largest size it examined as its max_size.  A full sweep of more
+    than FULL_SWEEP_LIMIT algebras raises ValueError."""
     families = tuple(families)
     for family in families:
         if family not in LAWS:
             raise ValueError(f"unknown family {family!r}")
-    if budget != "full" and (not isinstance(budget, int) or budget < 1):
+    if budget == "full":
+        algebras = 0
+        for size in range(1, max_size + 1):
+            algebras += size * size**size * size ** (2 * size * size)
+            if algebras > FULL_SWEEP_LIMIT:
+                raise ValueError(
+                    f"a full sweep of sizes<={max_size} covers at least "
+                    f"{algebras} interpretations, past the limit of "
+                    f"{FULL_SWEEP_LIMIT}; give a numeric budget"
+                )
+    elif not isinstance(budget, int) or budget < 1:
         raise ValueError("budget must be 'full' or a positive integer")
 
     violations: list[Violation] = []
     examined = 0
     exhausted = True
+    reached = max_size
     for size in range(1, max_size + 1):
         for m in enumerate_interpretations(size, eq_tables):
             if budget != "full" and examined >= budget:
                 exhausted = False
                 break
             examined += 1
+            reached = size
             violations.extend(
                 Violation(family, m, detail)
                 for family in families
@@ -758,7 +805,7 @@ def metacheck(
     return MetacheckReport(
         families=families,
         mode=mode,
-        max_size=max_size,
+        max_size=reached,
         eq_tables=eq_tables,
         examined=examined,
         exhausted=exhausted,

@@ -15,21 +15,26 @@ searches for the coefficients).  The recursion formula asserts the
 existence of c, d coding the whole course of values.
 
 check_representation probes a representation numerically.  Honest
-full evaluation of the unbounded existentials is out of reach, so the
-check is witness-guided: represent records, for every quantifier it
-introduces, a rule computing the intended witness from the values in
-scope, and a certificate evaluator then decides the formula exactly
-once those witnesses are plugged in.  Confirmation means the formula
-certifies the true output and rejects every rival candidate up to the
-search bound; it is an empirical check on the construction, not a proof.
+full evaluation of the unbounded quantifiers is out of reach, so
+represent records, for every quantifier it introduces, a range rule:
+from the values in scope it gives what that variable ranges over.  An
+existential ranges over its intended witness alone, or over nothing when
+no witness exists; the universal of the recursion clause ranges over
+the numbers below its bound.  The formula is then decided by the one
+Tarski relation of models, with equations decided in the naturals and
+each quantifier ranging over its recorded range.  Confirmation means the
+formula certifies the true output and rejects every rival candidate up
+to the search bound; it is an empirical check on the construction, not
+a proof.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
+from .models import tarski
 from .syntax import (
     Add,
     BigNumeral,
@@ -38,7 +43,6 @@ from .syntax import (
     Formula,
     Implies,
     Mul,
-    Not,
     Succ,
     Term,
     Var,
@@ -53,7 +57,7 @@ class PRError(Exception):
 
 
 class CertEvalError(Exception):
-    """The certificate evaluator met a shape or gap it cannot decide."""
+    """The certificate evaluator met a gap it cannot decide."""
 
 
 class PRFunc:
@@ -231,15 +235,15 @@ def find_beta_coeffs(values: list[int], ceiling: int = 10**6) -> tuple[int, int]
 
 
 Env = dict[int, int]
-WitnessRule = Callable[[Env], int | None]
+RangeRule = Callable[[Env], Sequence[int]]
 
 
 @dataclass
 class Representation:
-    """A formula defining a PR function's graph, plus witness rules.
+    """A formula defining a PR function's graph, plus range rules.
 
-    inputs and output give the variable layout; witness_rules maps each
-    quantified variable index to a rule producing its intended value
+    inputs and output give the variable layout; ranges maps each
+    quantified variable index to a rule giving the values it ranges over
     from an environment covering the variables in scope.
     """
 
@@ -247,13 +251,13 @@ class Representation:
     formula: Formula
     inputs: tuple[int, ...]
     output: int
-    witness_rules: dict[int, WitnessRule] = field(repr=False, default_factory=dict)
+    ranges: dict[int, RangeRule] = field(repr=False)
 
 
 class _Builder:
     def __init__(self, first_fresh: int):
         self.next_fresh = first_fresh
-        self.rules: dict[int, WitnessRule] = {}
+        self.rules: dict[int, RangeRule] = {}
 
     def fresh(self) -> int:
         v = self.next_fresh
@@ -263,9 +267,9 @@ class _Builder:
     def lt(self, small: Term, large: Term) -> Formula:
         w = self.fresh()
 
-        def rule(env: Env, s=small, l=large) -> int | None:
+        def rule(env: Env, s=small, l=large) -> tuple[int, ...]:
             gap = term_value_env(l, env) - term_value_env(s, env) - 1
-            return gap if gap >= 0 else None
+            return (gap,) if gap >= 0 else ()
 
         self.rules[w] = rule
         return exists(w, Eq(Add(small, Succ(Var(w))), large))
@@ -275,8 +279,8 @@ class _Builder:
         divisor = Succ(Add(Mul(index, Var(d)), Var(d)))
         q = self.fresh()
 
-        def rule(env: Env, div=divisor) -> int | None:
-            return env[c] // term_value_env(div, env)
+        def rule(env: Env, div=divisor) -> tuple[int]:
+            return (env[c] // term_value_env(div, env),)
 
         self.rules[q] = rule
         return exists(
@@ -308,8 +312,8 @@ class _Builder:
                 z = self.fresh()
                 mids.append(z)
 
-                def rule(env: Env, g=g, ins=inputs) -> int | None:
-                    return eval_pr(g, tuple(env[x] for x in ins))
+                def rule(env: Env, g=g, ins=inputs) -> tuple[int]:
+                    return (eval_pr(g, tuple(env[x] for x in ins)),)
 
                 self.rules[z] = rule
             pieces = [
@@ -345,11 +349,11 @@ class _Builder:
                 coeff_cache[key] = find_beta_coeffs(course(env))
             return coeff_cache[key]
 
-        self.rules[c] = lambda env: coeffs(env)[0]
-        self.rules[d] = lambda env: coeffs(env)[1]
+        self.rules[c] = lambda env: coeffs(env)[:1]
+        self.rules[d] = lambda env: coeffs(env)[1:]
 
         w = self.fresh()
-        self.rules[w] = lambda env: course(env)[0]
+        self.rules[w] = lambda env: course(env)[:1]
         start = exists(
             w, conj(self.beta_formula(c, d, Zero(), w), self.build(f.base, xs, w))
         )
@@ -357,8 +361,9 @@ class _Builder:
         i = self.fresh()
         u = self.fresh()
         v = self.fresh()
-        self.rules[u] = lambda env: course(env)[env[i]]
-        self.rules[v] = lambda env: course(env)[env[i] + 1]
+        self.rules[i] = lambda env: range(env[n_var])
+        self.rules[u] = lambda env: course(env)[env[i] : env[i] + 1]
+        self.rules[v] = lambda env: course(env)[env[i] + 1 : env[i] + 2]
         step_body = _conj_all(
             [
                 self.beta_formula(c, d, Var(i), u),
@@ -400,99 +405,43 @@ def represent(f: PRFunc) -> Representation:
 
 def term_value_env(t: Term, env: Env) -> int:
     succs = 0
-    while isinstance(t, Succ):
+    while t.__class__ is Succ:
         succs += 1
         t = t.arg
-    if isinstance(t, Zero):
-        return succs
-    if isinstance(t, BigNumeral):
-        return succs + t.value
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         if t.index not in env:
             raise CertEvalError(f"x{t.index} has no value in scope")
         return succs + env[t.index]
-    if isinstance(t, Add):
+    if cls is Add:
         return succs + term_value_env(t.left, env) + term_value_env(t.right, env)
-    if isinstance(t, Mul):
+    if cls is Mul:
         return succs + term_value_env(t.left, env) * term_value_env(t.right, env)
+    if cls is Zero:
+        return succs
+    if cls is BigNumeral:
+        return succs + t.value
     raise CertEvalError(f"cannot value term {t!r}")
 
 
-def _as_and(f: Formula) -> tuple[Formula, Formula] | None:
-    if (
-        isinstance(f, Not)
-        and isinstance(f.body, Implies)
-        and isinstance(f.body.right, Not)
-    ):
-        return f.body.left, f.body.right.body
-    return None
+def _equal_in_naturals(eq: Eq, env: Env) -> bool:
+    return term_value_env(eq.left, env) == term_value_env(eq.right, env)
 
 
-def _as_exists(f: Formula) -> tuple[int, Formula] | None:
-    if (
-        isinstance(f, Not)
-        and isinstance(f.body, ForAll)
-        and isinstance(f.body.body, Not)
-    ):
-        return f.body.index, f.body.body.body
-    return None
+def certificate_eval(f: Formula, env: Env, ranges: dict[int, RangeRule]) -> bool:
+    """Tarski truth of f in the naturals under env, each quantifier of x
+    ranging over ranges[x] of the values in scope."""
 
-
-def _bounded_range(f: ForAll, env: Env) -> tuple[int, Formula] | None:
-    # matches forall v (v < t -> B); returns (value of t, B)
-    if not isinstance(f.body, Implies):
-        return None
-    guard = _as_exists(f.body.left)
-    if guard is None:
-        return None
-    w, g = guard
-    if not (
-        isinstance(g, Eq)
-        and isinstance(g.left, Add)
-        and g.left.left == Var(f.index)
-        and g.left.right == Succ(Var(w))
-    ):
-        return None
-    return term_value_env(g.right, env), f.body.right
-
-
-def certificate_eval(f: Formula, env: Env, rules: dict[int, WitnessRule]) -> bool:
-    """Decide f under env, resolving quantifiers through witness rules.
-
-    Existentials take the single value their rule supplies (a missing or
-    invalid witness counts as false); universals must carry an explicit
-    numeric bound.  Anything else is not certificate-checkable.
-    """
-    if isinstance(f, Eq):
-        return term_value_env(f.left, env) == term_value_env(f.right, env)
-    both = _as_and(f)
-    if both is not None:
-        return certificate_eval(both[0], env, rules) and certificate_eval(
-            both[1], env, rules
-        )
-    ex = _as_exists(f)
-    if ex is not None:
-        v, body = ex
-        rule = rules.get(v)
+    def over(x: int, env: Env) -> Sequence[int]:
+        rule = ranges.get(x)
         if rule is None:
-            raise CertEvalError(f"no witness rule for x{v}")
+            raise CertEvalError(f"no range rule for x{x}")
         try:
-            value = rule(env)
+            return rule(env)
         except PRError as e:
-            raise CertEvalError(f"witness rule for x{v} failed: {e}") from e
-        if value is None or value < 0:
-            return False
-        return certificate_eval(body, {**env, v: value}, rules)
-    if isinstance(f, ForAll):
-        bounded = _bounded_range(f, env)
-        if bounded is None:
-            raise CertEvalError("universal quantifier without a numeric bound")
-        bound, body = bounded
-        return all(
-            certificate_eval(body, {**env, f.index: k}, rules)
-            for k in range(bound)
-        )
-    raise CertEvalError(f"shape not certificate-checkable: {type(f).__name__}")
+            raise CertEvalError(f"witness rule for x{x} failed: {e}") from e
+
+    return tarski(f, env, _equal_in_naturals, over)
 
 
 @dataclass(frozen=True)
@@ -524,28 +473,22 @@ def check_representation(
     rep = represent(f)
     env = {x: a for x, a in zip(rep.inputs, args)}
     try:
-        good = certificate_eval(
-            rep.formula, {**env, rep.output: expected}, rep.witness_rules
-        )
-    except CertEvalError as e:
-        return ReprCheck("unknown", f"certificate evaluation failed: {e}")
-    if not good:
-        return ReprCheck(
-            "unknown",
-            f"could not certify the true output {expected} at {shown}",
-        )
-    for rival in range(search_bound + 1):
-        if rival == expected:
-            continue
-        try:
-            if certificate_eval(
-                rep.formula, {**env, rep.output: rival}, rep.witness_rules
+        if not certificate_eval(
+            rep.formula, {**env, rep.output: expected}, rep.ranges
+        ):
+            return ReprCheck(
+                "unknown",
+                f"could not certify the true output {expected} at {shown}",
+            )
+        for rival in range(search_bound + 1):
+            if rival != expected and certificate_eval(
+                rep.formula, {**env, rep.output: rival}, rep.ranges
             ):
                 return ReprCheck(
                     "refuted", f"formula accepts {rival} != {shown} = {expected}"
                 )
-        except CertEvalError as e:
-            return ReprCheck("unknown", f"certificate evaluation failed: {e}")
+    except CertEvalError as e:
+        return ReprCheck("unknown", f"certificate evaluation failed: {e}")
     return ReprCheck(
         "confirmed",
         f"{shown} = {expected} certified; no rival candidate up to "

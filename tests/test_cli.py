@@ -152,11 +152,18 @@ def test_eval_modes(witness_file, capsys):
 DEEPLY_NESTED = "error: input is nested too deeply for this command\n"
 
 
-@pytest.mark.parametrize("prefix", ["~", "forall x1 . "])
+@pytest.mark.parametrize("prefix", ["forall x1 . "])
 def test_eval_too_deep_exits_two(witness_file, capsys, prefix):
-    # the model evaluator recurses, so this depth passes Python's limit
+    # every value of x1 but the last is a nested call, so this depth
+    # passes Python's limit
     assert main(["eval", witness_file, prefix * 3000 + "(x1 = 0)"]) == 2
     assert capsys.readouterr() == ("", DEEPLY_NESTED)
+
+
+def test_eval_answers_on_deep_negation(witness_file, capsys):
+    # negations are followed without a call, so depth costs no stack
+    assert main(["eval", witness_file, "~" * 3000 + "(x1 = 0)"]) == 1
+    assert capsys.readouterr() == ("false\n", "")
 
 
 def test_represent_too_deep_exits_two(capsys):
@@ -229,6 +236,38 @@ def test_metacheck_exit_codes(capsys):
     assert "violation" in capsys.readouterr().out
     assert main(["metacheck", "--families", "nonsense"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["metacheck", "--size", "0"],
+    ["metacheck", "--size", "-2"],
+    ["metacheck", "--families", ",,"],
+    ["represent", "addition", "--check", "2,2", "--bound", "-1"],
+])
+def test_usage_errors_exit_two(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("size", ["3", "1000000"])
+def test_metacheck_refuses_an_unbounded_full_sweep(size):
+    # a subprocess, so that a sweep which does not stop fails the test
+    result = subprocess.run(
+        [sys.executable, "-m", "arithlab.cli", "metacheck", "--size", size],
+        capture_output=True, text=True, timeout=30)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: ")
+    assert "31381061658 interpretations" in result.stderr
+
+
+def test_metacheck_cut_report_names_the_size_reached(capsys):
+    assert main(["metacheck", "--size", "3", "--budget", "100"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "metacheck mode=standard sizes<=2 families=A1,A2,A3,A4,A5 eq=identity:"
+        " 100 interpretations examined (budget hit, enumeration cut short)")
 
 
 def test_corpus_writes_files(tmp_path, capsys):

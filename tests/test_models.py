@@ -273,6 +273,12 @@ def test_metacheck_budget_cuts_off():
     assert not report.exhausted
 
 
+def test_metacheck_header_of_an_exhausted_run():
+    assert str(metacheck(1, ("A1",))) == (
+        "metacheck mode=standard sizes<=1 families=A1 eq=identity: "
+        "1 interpretations examined, 0 violation(s)")
+
+
 def test_metacheck_rejects_unknown_family():
     with pytest.raises(ValueError):
         metacheck(1, ("A7",))

@@ -1,9 +1,11 @@
 """Primitive recursive functions, beta coding, representing formulas."""
 
-import collections
+import hashlib
+import itertools
 
 import pytest
 
+from arithlab import primrec
 from arithlab.primrec import (
     ADDITION,
     CATALOG,
@@ -16,7 +18,9 @@ from arithlab.primrec import (
     Rec,
     SuccFn,
     ZeroFn,
+    Representation,
     beta,
+    certificate_eval,
     check_representation,
     course_of_values,
     eval_pr,
@@ -25,7 +29,16 @@ from arithlab.primrec import (
     parse_pr,
     represent,
 )
-from arithlab.syntax import free_vars
+from arithlab.syntax import (
+    Eq,
+    ForAll,
+    Not,
+    Var,
+    Zero,
+    conj,
+    exists,
+    free_vars,
+)
 
 
 # ------------------------------------------------------------ evaluation
@@ -112,15 +125,108 @@ def test_representing_formula_free_variables():
     assert free_vars(rep.formula) == frozenset({1, 2, 3})
 
 
-def test_witness_rules_cover_all_search_variables():
+def _quantified(f):
+    """Index -> True for an existential ~forall x ~B, False otherwise."""
+    out = {}
+    stack = [(f, None)]
+    while stack:
+        g, parent = stack.pop()
+        if isinstance(g, ForAll):
+            out[g.index] = isinstance(parent, Not) and isinstance(g.body, Not)
+            stack.append((g.body, g))
+        elif isinstance(g, Not):
+            stack.append((g.body, g))
+        elif not isinstance(g, Eq):
+            stack.extend((child, g) for child in (g.left, g.right))
+    return out
+
+
+def test_range_rules_cover_all_quantified_variables():
     rep = represent(MULTIPLICATION)
+    quantified = _quantified(rep.formula)
+    assert set(rep.ranges) == set(quantified)
     # rules may consult earlier witnesses and the bounded loop variable,
-    # so evaluate in allocation order over a defaulting environment
-    env = collections.defaultdict(int, {1: 2, 2: 3, rep.output: 6})
-    for var in sorted(rep.witness_rules):
-        value = rep.witness_rules[var](env)
-        assert isinstance(value, int) and value >= 0
-        env[var] = value
+    # so evaluate in allocation order, each variable taking its first value
+    env = {1: 2, 2: 3, rep.output: 6}
+    for var in sorted(rep.ranges):
+        values = list(rep.ranges[var](env))
+        assert all(isinstance(v, int) and v >= 0 for v in values)
+        if quantified[var]:
+            assert len(values) == 1, var
+        env[var] = values[0]
+
+
+def test_certificate_existential_over_an_empty_range_is_false():
+    f = exists(5, Eq(Var(5), Var(5)))
+    assert not certificate_eval(f, {}, {5: lambda env: ()})
+
+
+def test_certificate_existential_over_one_value_binds_it():
+    f = exists(5, Eq(Var(5), Var(1)))
+    assert certificate_eval(f, {1: 3}, {5: lambda env: (3,)})
+    assert not certificate_eval(f, {1: 3}, {5: lambda env: (2,)})
+
+
+def test_certificate_bounded_universal_checks_every_k_below_its_bound():
+    # forall x4 below x2 . ~(x4 = x1)
+    f = ForAll(4, Not(Eq(Var(4), Var(1))))
+    ranges = {4: lambda env: range(env[2])}
+    assert certificate_eval(f, {1: 3, 2: 3}, ranges)
+    assert not certificate_eval(f, {1: 2, 2: 3}, ranges)
+    assert not certificate_eval(f, {1: 0, 2: 3}, ranges)
+    assert certificate_eval(f, {1: 0, 2: 0}, ranges)
+
+
+@pytest.mark.parametrize("formula, ranges, detail", [
+    (exists(5, Eq(Var(5), Var(2))), {}, "no range rule for x5"),
+    (conj(Eq(Var(2), Var(2)), Eq(Var(9), Zero())), {},
+     "x9 has no value in scope"),
+])
+def test_certificate_gaps_are_unknown(monkeypatch, formula, ranges, detail):
+    def gapped(f):
+        return Representation(f, formula, (1,), 2, ranges)
+
+    monkeypatch.setattr(primrec, "represent", gapped)
+    assert str(check_representation(SuccFn(), (1,), 5)) == (
+        f"unknown: certificate evaluation failed: {detail}")
+
+
+def test_check_representation_refutes_a_formula_without_its_output(
+        monkeypatch):
+    real = primrec.represent
+
+    def without_output(f):
+        # exists c . exists d . (start & (steps & finish)), finish dropped
+        rep = real(f)
+        c, inner = rep.formula.body.index, rep.formula.body.body.body
+        d, body = inner.body.index, inner.body.body.body
+        start, rest = body.body.left, body.body.right.body
+        steps = rest.body.left
+        formula = exists(c, exists(d, conj(start, steps)))
+        return Representation(f, formula, rep.inputs, rep.output, rep.ranges)
+
+    monkeypatch.setattr(primrec, "represent", without_output)
+    assert str(check_representation(ADDITION, (1, 1), 5)) == (
+        "refuted: formula accepts 0 != f(1, 1) = 2")
+
+
+def test_session_verdicts_are_pinned():
+    verdicts = [
+        str(check_representation(f, args))
+        for f in CATALOG.values()
+        for args in itertools.product(range(4), repeat=f.arity)
+    ]
+    assert len(verdicts) == 52
+    assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == (
+        "c5116915ea208d32c286daf5e9a3664d6df275083221eedb006ae15f1848ea4a")
+
+
+def test_certificate_decides_a_400_deep_composition():
+    f = SuccFn()
+    for _ in range(399):
+        f = Comp(SuccFn(), (f,))
+    rep = represent(f)
+    assert certificate_eval(rep.formula, {1: 0, 2: 400}, rep.ranges)
 
 
 def test_check_representation_confirms_catalog_functions():
