@@ -164,6 +164,15 @@ def cmd_represent(args) -> int:
     if args.bound < 0:
         return _fail(f"--bound must be nonnegative, got {args.bound}")
     func = primrec.parse_pr(args.function)
+    if args.check is not None:
+        try:
+            arg_values = tuple(int(tok) for tok in args.check.split(","))
+        except ValueError:
+            return _fail(f"--check takes comma-separated integers, got {args.check!r}")
+        if len(arg_values) != func.arity:
+            return _fail(f"--check needs {func.arity} value(s), got {len(arg_values)}")
+        if any(a < 0 for a in arg_values):
+            return _fail(f"--check values must be nonnegative, got {args.check!r}")
     rep = primrec.represent(func)
     print(f"arity {func.arity}")
     print(
@@ -174,10 +183,6 @@ def cmd_represent(args) -> int:
     print(to_text(rep.formula))
     if args.check is None:
         return 0
-    try:
-        arg_values = tuple(int(tok) for tok in args.check.split(","))
-    except ValueError:
-        return _fail(f"--check takes comma-separated integers, got {args.check!r}")
     verdict = primrec.check_representation(func, arg_values, args.bound)
     print(verdict)
     return 0 if verdict.verdict == "confirmed" else 1

@@ -12,7 +12,9 @@ Recursion is arithmetised through the beta function
 
 which can code any finite sequence for suitable c, d (find_beta_coeffs
 searches for the coefficients).  The recursion formula asserts the
-existence of c, d coding the whole course of values.
+existence of c, d coding the whole course of values.  It states its
+output conjunct, beta(c, d, n) = y, first, so a rival output is rejected
+by one beta equation without the course of values being decided again.
 
 check_representation probes a representation numerically.  Honest
 full evaluation of the unbounded quantifiers is out of reach, so
@@ -378,8 +380,11 @@ class _Builder:
             ),
         )
 
+        # finish alone reads the output; put first, it rejects a rival on
+        # one equation before start and steps decide the course of values.
+        # It is built last, so the fresh indices keep their order.
         finish = self.beta_formula(c, d, Var(n_var), output)
-        return exists(c, exists(d, _conj_all([start, steps, finish])))
+        return exists(c, exists(d, _conj_all([finish, start, steps])))
 
 
 def _conj_all(pieces: list[Formula]) -> Formula:

@@ -243,6 +243,9 @@ def test_metacheck_exit_codes(capsys):
     ["metacheck", "--size", "-2"],
     ["metacheck", "--families", ",,"],
     ["represent", "addition", "--check", "2,2", "--bound", "-1"],
+    ["represent", "addition", "--check", ",2"],
+    ["represent", "addition", "--check", "1"],
+    ["represent", "addition", "--check=-1,2"],
 ])
 def test_usage_errors_exit_two(capsys, argv):
     assert main(argv) == 2

@@ -196,18 +196,39 @@ def test_check_representation_refutes_a_formula_without_its_output(
     real = primrec.represent
 
     def without_output(f):
-        # exists c . exists d . (start & (steps & finish)), finish dropped
+        # exists c . exists d . (a & (b & e)): drop the conjunct that has
+        # the output free, wherever it stands
         rep = real(f)
         c, inner = rep.formula.body.index, rep.formula.body.body.body
         d, body = inner.body.index, inner.body.body.body
-        start, rest = body.body.left, body.body.right.body
-        steps = rest.body.left
-        formula = exists(c, exists(d, conj(start, steps)))
+        first, rest = body.body.left, body.body.right.body
+        pieces = [first, rest.body.left, rest.body.right.body]
+        kept = [p for p in pieces if rep.output not in free_vars(p)]
+        assert len(kept) == 2
+        formula = exists(c, exists(d, conj(*kept)))
         return Representation(f, formula, rep.inputs, rep.output, rep.ranges)
 
     monkeypatch.setattr(primrec, "represent", without_output)
     assert str(check_representation(ADDITION, (1, 1), 5)) == (
         "refuted: formula accepts 0 != f(1, 1) = 2")
+
+
+def test_rivals_are_rejected_without_re_deciding_the_course_of_values(
+        monkeypatch):
+    decided = 0
+    real = primrec._equal_in_naturals
+
+    def counted(eq, env):
+        nonlocal decided
+        decided += 1
+        return real(eq, env)
+
+    monkeypatch.setattr(primrec, "_equal_in_naturals", counted)
+    rep = represent(MULTIPLICATION)
+    assert certificate_eval(rep.formula, {1: 3, 2: 3, 3: 9}, rep.ranges)
+    true_pass, decided = decided, 0
+    assert check_representation(MULTIPLICATION, (3, 3)).verdict == "confirmed"
+    assert decided <= true_pass + 2 * 100
 
 
 def test_session_verdicts_are_pinned():
