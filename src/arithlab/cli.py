@@ -4,6 +4,13 @@ One subcommand per workbench operation, with minimal deterministic
 output so results can be scripted against.  Exit codes follow one
 contract everywhere: 0 success / accepted / true, 1 rejected / false /
 violations found / operation refused, 2 malformed input or usage.
+
+The subcommands are data: `COMMANDS` maps each name to its handler, help
+text and argument specs.  A call builds the top-level parser and only the
+subparser its first argument names; help, no arguments and an unknown
+command build them all.  No parser outlives its call: a process answers one
+query, so a kept parser would save nothing there, and in-process callers
+would share it as state.
 """
 
 from __future__ import annotations
@@ -42,21 +49,6 @@ _MODE_NAMES = {"standard": "standard", "param": "parameterized"}
 
 def _config(args) -> NumberingConfig:
     return NumberingConfig(scheme=args.scheme, seq=_SEQ_NAMES[args.seq])
-
-
-def _add_coding_flags(sub) -> None:
-    sub.add_argument(
-        "--scheme",
-        choices=("mendelson", "compact"),
-        default="mendelson",
-        help="symbol numbering scheme",
-    )
-    sub.add_argument(
-        "--seq",
-        choices=("prime", "pair"),
-        default="prime",
-        help="sequence encoding (prime powers or the pairing bit stream)",
-    )
 
 
 def _read_file(path: str) -> str:
@@ -258,144 +250,98 @@ def cmd_corpus(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CODING_FLAGS = (
+    ("--scheme", dict(choices=("mendelson", "compact"), default="mendelson",
+                      help="symbol numbering scheme")),
+    ("--seq", dict(choices=("prime", "pair"), default="prime",
+                   help="sequence encoding (prime powers or the pairing bit stream)")),
+)
+_MODE_FLAG = ("--mode", dict(choices=("standard", "param"), default="standard"))
+
+# name -> (handler, help text, argument specs in the order argparse adds them)
+COMMANDS = {
+    "parse": (cmd_parse, "parse and echo canonical text", (("text", {}),)),
+    "check-proof": (cmd_check_proof, "run the proof checker on a file",
+                    (("file", {}),)),
+    "encode": (cmd_encode, "code of an expression", (("text", {}), *_CODING_FLAGS)),
+    "decode": (cmd_decode, "expression of a code", (("code", {}), *_CODING_FLAGS)),
+    "num": (cmd_num, "code of the numeral for n", (("n", {}), *_CODING_FLAGS)),
+    "neg": (cmd_neg, "code of the negation of a coded formula",
+            (("code", {}), *_CODING_FLAGS)),
+    "sub": (cmd_sub, "code-level substitution of a coded term for a variable",
+            (("expr_code", {}), ("term_code", {}), ("var_code", {}),
+             *_CODING_FLAGS)),
+    "pf": (cmd_pf, "does the first code prove the second? (total check)",
+           (("proof_code", {}), ("conclusion_code", {}), *_CODING_FLAGS)),
+    "encode-proof": (cmd_encode_proof, "code of a proof file",
+                     (("file", {}), *_CODING_FLAGS)),
+    "diag": (cmd_diag, "diagonalise a formula against its own closure code", (
+        ("formula", {}),
+        ("--var", dict(type=int, default=2, help="diagonal slot variable")),
+        *_CODING_FLAGS,
+    )),
+    "represent": (cmd_represent, "representing formula of a PR function", (
+        ("function", dict(help="s-expression or catalog name")),
+        ("--check", dict(help="comma-separated arguments to probe numerically")),
+        ("--bound", dict(type=int, default=100, help="rival search bound")),
+    )),
+    "eval": (cmd_eval, "truth of a formula in a finite model", (
+        ("model", dict(help="interpretation file")), ("formula", {}), _MODE_FLAG,
+    )),
+    "image": (cmd_image, "numeral image of a finite model", (("model", {}),)),
+    "restrict": (cmd_restrict, "substructure of a model on its numeral image",
+                 (("model", {}),)),
+    "chain": (cmd_chain, "universal truth against numeral instances in a model", (
+        ("model", {}), ("var", dict(type=int)), ("formula", {}), _MODE_FLAG,
+    )),
+    "metacheck": (cmd_metacheck,
+                  "hunt for violations of pinned laws over small interpretations", (
+        ("--size", dict(type=int, default=2, help="largest domain size")),
+        ("--families", dict(default="A1,A2,A3,A4,A5",
+                            help="comma-separated family names")),
+        _MODE_FLAG,
+        ("--budget", dict(default="full")),
+        ("--eq", dict(choices=("identity", "congruent"), default="identity")),
+    )),
+    "corpus": (cmd_corpus, "write the bundled proof corpus", (("directory", {}),)),
+}
+
+
+def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The top-level parser with the subparsers of `names`, in that order."""
     parser = argparse.ArgumentParser(
         prog="arithlab",
         description="workbench for first-order arithmetic: syntax, proofs, "
         "codes, representability, diagonalisation and finite models",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("parse", help="parse and echo canonical text")
-    sub.add_argument("text")
-    sub.set_defaults(func=cmd_parse)
-
-    sub = commands.add_parser("check-proof", help="run the proof checker on a file")
-    sub.add_argument("file")
-    sub.set_defaults(func=cmd_check_proof)
-
-    sub = commands.add_parser("encode", help="code of an expression")
-    sub.add_argument("text")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_encode)
-
-    sub = commands.add_parser("decode", help="expression of a code")
-    sub.add_argument("code")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_decode)
-
-    sub = commands.add_parser("num", help="code of the numeral for n")
-    sub.add_argument("n")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_num)
-
-    sub = commands.add_parser("neg", help="code of the negation of a coded formula")
-    sub.add_argument("code")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_neg)
-
-    sub = commands.add_parser(
-        "sub", help="code-level substitution of a coded term for a variable"
+    # A top-level error prints a usage line that lists the subparsers built,
+    # so a partial build names every command itself.  The full build keeps
+    # argparse's own spelling: a metavar would also rename the argument in
+    # "argument command: invalid choice".
+    every = len(names) == len(COMMANDS)
+    commands = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if every else "{" + ",".join(COMMANDS) + "}",
     )
-    sub.add_argument("expr_code")
-    sub.add_argument("term_code")
-    sub.add_argument("var_code")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_sub)
-
-    sub = commands.add_parser(
-        "pf", help="does the first code prove the second? (total check)"
-    )
-    sub.add_argument("proof_code")
-    sub.add_argument("conclusion_code")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_pf)
-
-    sub = commands.add_parser("encode-proof", help="code of a proof file")
-    sub.add_argument("file")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_encode_proof)
-
-    sub = commands.add_parser(
-        "diag", help="diagonalise a formula against its own closure code"
-    )
-    sub.add_argument("formula")
-    sub.add_argument("--var", type=int, default=2, help="diagonal slot variable")
-    _add_coding_flags(sub)
-    sub.set_defaults(func=cmd_diag)
-
-    sub = commands.add_parser(
-        "represent", help="representing formula of a PR function"
-    )
-    sub.add_argument("function", help="s-expression or catalog name")
-    sub.add_argument(
-        "--check", help="comma-separated arguments to probe numerically"
-    )
-    sub.add_argument("--bound", type=int, default=100, help="rival search bound")
-    sub.set_defaults(func=cmd_represent)
-
-    sub = commands.add_parser("eval", help="truth of a formula in a finite model")
-    sub.add_argument("model", help="interpretation file")
-    sub.add_argument("formula")
-    sub.add_argument(
-        "--mode", choices=("standard", "param"), default="standard"
-    )
-    sub.set_defaults(func=cmd_eval)
-
-    sub = commands.add_parser("image", help="numeral image of a finite model")
-    sub.add_argument("model")
-    sub.set_defaults(func=cmd_image)
-
-    sub = commands.add_parser(
-        "restrict", help="substructure of a model on its numeral image"
-    )
-    sub.add_argument("model")
-    sub.set_defaults(func=cmd_restrict)
-
-    sub = commands.add_parser(
-        "chain", help="universal truth against numeral instances in a model"
-    )
-    sub.add_argument("model")
-    sub.add_argument("var", type=int)
-    sub.add_argument("formula")
-    sub.add_argument(
-        "--mode", choices=("standard", "param"), default="standard"
-    )
-    sub.set_defaults(func=cmd_chain)
-
-    sub = commands.add_parser(
-        "metacheck",
-        help="hunt for violations of pinned laws over small interpretations",
-    )
-    sub.add_argument("--size", type=int, default=2, help="largest domain size")
-    sub.add_argument(
-        "--families",
-        default="A1,A2,A3,A4,A5",
-        help="comma-separated family names",
-    )
-    sub.add_argument(
-        "--mode", choices=("standard", "param"), default="standard"
-    )
-    sub.add_argument("--budget", default="full")
-    sub.add_argument(
-        "--eq", choices=("identity", "congruent"), default="identity"
-    )
-    sub.set_defaults(func=cmd_metacheck)
-
-    sub = commands.add_parser("corpus", help="write the bundled proof corpus")
-    sub.add_argument("directory")
-    sub.set_defaults(func=cmd_corpus)
-
+    for name in names:
+        func, help_text, specs = COMMANDS[name]
+        sub = commands.add_parser(name, help=help_text)
+        for flag, options in specs:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the command name is read before argparse runs
+        argv = sys.argv[1:]
+    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
     limit = None
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(2_000_000_000)  # codes outgrow the default cap
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(names).parse_args(argv)
         return args.func(args)
     except (CaptureError, models.RestrictError) as e:
         print(f"refused: {e}", file=sys.stderr)

@@ -1,11 +1,14 @@
 """Command line interface: outputs and the exit code contract."""
 
+import argparse
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from arithlab.cli import main
+from arithlab.cli import COMMANDS, build_parser, main
 from arithlab.corpus import build_all
 from arithlab.godel import NumberingConfig, encode_expr, encode_proof
 from arithlab.models import WITNESS_MODEL, format_interpretation
@@ -31,6 +34,13 @@ def proof_file(tmp_path):
 
 def test_parse_echoes_canonical_text(capsys):
     assert main(["parse", "( x1 =   0 )"]) == 0
+    assert capsys.readouterr().out == "(x1 = 0)\n"
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch, capsys):
+    # the console script calls main() with no argument
+    monkeypatch.setattr(sys, "argv", ["arithlab", "parse", "( x1 = 0 )"])
+    assert main() == 0
     assert capsys.readouterr().out == "(x1 = 0)\n"
 
 
@@ -297,3 +307,56 @@ def test_entry_point_runs_as_subprocess():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == str(2**15)
+
+
+def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["parse", "(x1 = 0)"]) == 0
+    assert capsys.readouterr().out == "(x1 = 0)\n"
+    assert built == ["arithlab", "arithlab parse"]
+
+
+def test_top_level_help_lists_every_command(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as stop:
+        main(["-h"])
+    assert stop.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_text, _) in COMMANDS.items():
+        assert re.search(rf"^ +{re.escape(name)} +{re.escape(help_text)}$", out, re.M)
+
+
+def test_top_level_error_prints_the_full_usage(capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(["parse", "(x1 = 0)", "extra"])
+    assert stop.value.code == 2
+    usage = build_parser().format_usage()
+    assert all(name in usage for name in COMMANDS)
+    err = capsys.readouterr().err
+    assert err.startswith(usage)
+    assert err.endswith("error: unrecognized arguments: extra\n")
+
+
+def _readme_cli_rows():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    for row in re.findall(r"^\| (`.*?) \| (.*) \|$", table, re.M):
+        names = re.findall(r"`([a-z-]+)[^`]*`", row[0])
+        flags = set(re.findall(r"`(--[a-z]+)", row[1]))
+        yield names, flags
+
+
+def test_readme_cli_table_names_every_command_with_its_options():
+    rows = list(_readme_cli_rows())
+    assert [name for names, _ in rows for name in names] == list(COMMANDS)
+    for names, flags in rows:
+        for name in names:
+            options = {flag for flag, _ in COMMANDS[name][2] if flag.startswith("--")}
+            assert flags == options, name
