@@ -317,10 +317,12 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     # A top-level error prints a usage line that lists the subparsers built,
     # so a partial build names every command itself.  The full build keeps
     # argparse's own spelling: a metavar would also rename the argument in
-    # "argument command: invalid choice".
+    # "argument command: invalid choice".  The command is not required here:
+    # argparse would report it missing before naming an unknown option, so
+    # main checks for it after the unknown options.
     every = len(names) == len(COMMANDS)
     commands = parser.add_subparsers(
-        dest="command", required=True,
+        dest="command",
         metavar=None if every else "{" + ",".join(COMMANDS) + "}",
     )
     for name in names:
@@ -341,7 +343,12 @@ def main(argv=None) -> int:
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(2_000_000_000)  # codes outgrow the default cap
     try:
-        args = build_parser(names).parse_args(argv)
+        parser = build_parser(names)
+        args, extras = parser.parse_known_args(argv)
+        if args.command is None and set(extras) <= {"--"}:  # '--' is no option
+            parser.error("the following arguments are required: command")
+        if extras:  # parse_args's own message, now also when no command follows
+            parser.error("unrecognized arguments: " + " ".join(extras))
         return args.func(args)
     except (CaptureError, models.RestrictError) as e:
         print(f"refused: {e}", file=sys.stderr)

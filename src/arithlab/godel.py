@@ -33,7 +33,9 @@ and two sequence encodings:
               numeral for n is the chunk 1 followed by the chunk n, so it
               costs O(log n) bits and diagonal-sized codes stay workable
 
-Decoding writes numerals up to EXPAND_MAX as explicit S chains and
+Decoding folds every numeral into one run, then reads the official string
+with one stack of open parentheses: each ')' reduces what follows its '('
+to a value.  Numerals up to EXPAND_MAX come back as explicit S chains,
 larger ones as num(n) nodes.
 
 The same two-layer scheme encodes proofs: a proof code is the sequence
@@ -44,7 +46,8 @@ from earlier lines by MP or GEN.
 
 The metafunctions operate on codes: meta_num builds numeral codes
 directly, meta_neg and meta_sub rewrite decoded symbol sequences (not
-trees) and re-encode, and meta_pf is a total predicate that never raises
+trees) and re-encode, meta_sub reading each quantifier's scope off a stack
+of open parentheses, and meta_pf is a total predicate that never raises
 on arbitrary input.
 """
 
@@ -69,7 +72,6 @@ from .syntax import (
     Zero,
     canonical_key,
     succ_entry,
-    numeral_value,
     spell,
 )
 
@@ -246,47 +248,22 @@ def symbol_length(e: Expr) -> int:
 
 
 def _normalize_tokens(tokens: list[Token]) -> list[Token]:
-    """Collapse successor runs around numerals into single numrun tokens.
+    """tokens with every numeral written as one run.
 
-    Sequence-level rewriting (substitution) can leave f_1^1 ( ... )
-    wrappers around a numeral; encoding must be independent of how the
-    numeral was assembled, so runs are re-canonicalised here.
+    A code may spell a numeral with f_1^1 ( ... ) wrappers, and substitution
+    can put one under them; decoding and encoding must not depend on how a
+    numeral was assembled.  So at the ')' that closes f_1^1 ( numeral ),
+    the four symbols fold into the run of the next larger numeral; inner
+    wrappers close first, so a whole chain folds on the way out.
     """
     out: list[Token] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
-        if tok == SUCC_FN and i + 1 < n and tokens[i + 1] == LPAREN:
-            j = i
-            k = 0
-            while j + 1 < n and tokens[j] == SUCC_FN and tokens[j + 1] == LPAREN:
-                k += 1
-                j += 2
-            core = tokens[j] if j < n else None
-            value = None
-            if core == ZERO_CONST:
-                value = 0
-            elif core is not None and core[0] == "numrun":
-                value = core[1]
-            if value is None:  # no inner run can end in a numeral either
-                out.extend(tokens[i:j])
-                i = j
+    for tok in tokens:
+        if tok == RPAREN and out[-3:-1] == [SUCC_FN, LPAREN]:
+            inner = out[-1]
+            if inner == ZERO_CONST or inner[0] == "numrun":
+                out[-3:] = [("numrun", inner[1] + 1 if inner[0] == "numrun" else 1)]
                 continue
-            if tokens[j + 1 : j + 1 + k] == [RPAREN] * k:
-                out.append(("numrun", value + k))
-                i = j + 1 + k
-                continue
-            out.append(tokens[i])
-            out.append(tokens[i + 1])
-            i += 2
-            continue
-        if tok[0] == "numrun" and tok[1] == 0:
-            out.append(ZERO_CONST)
-            i += 1
-            continue
         out.append(tok)
-        i += 1
     return out
 
 
@@ -312,119 +289,103 @@ def _expand_tokens(tokens: list[Token]) -> list[Symbol]:
 # --------------------------------------------------------------------------
 # token parsing (decode direction)
 
+# What a '(' must hold, by the function or predicate symbol before it, if any.
+_SHAPES = {
+    SUCC_FN: "f_1^1 ( t )",
+    ADD_FN: "f_1^2 ( t , u )",
+    MUL_FN: "f_2^2 ( t , u )",
+    EQ_PRED: "A_1^2 ( t , u )",
+    None: "( ~ B ), ( B -> C ), ( forall x_k ) or ( ( forall x_k ) B )",
+}
+# Two-place compounds by head: the symbol between the sides, their kind, the class
+_INFIX = {
+    ADD_FN: (COMMA, Term, Add),
+    MUL_FN: (COMMA, Term, Mul),
+    EQ_PRED: (COMMA, Term, Eq),
+    None: (IMP, Formula, Implies),
+}
+
+
+def _numeral(n: int) -> Term:
+    """The decoded numeral for n: an S chain up to EXPAND_MAX, else num(n)."""
+    if n > EXPAND_MAX:
+        return BigNumeral(n)
+    t: Term = Zero()
+    for _ in range(n):
+        t = Succ(t)
+    return t
+
+
+def _compound(head: Symbol | None, body: list):
+    """The value of head ( body ), or None if that is no official compound.
+
+    The prefix ( forall x_k ) gives ("binds", k) for the compound around it.
+    """
+    if head == SUCC_FN:
+        return Succ(body[0]) if len(body) == 1 and isinstance(body[0], Term) else None
+    if len(body) == 3:
+        middle, kind, build = _INFIX[head]
+        left, mid, right = body
+        if mid == middle and isinstance(left, kind) and isinstance(right, kind):
+            return build(left, right)
+    elif head is None and len(body) == 2:
+        first, last = body
+        if first == FORALL:
+            return ("binds", last.index) if last.__class__ is Var else None
+        if isinstance(last, Formula):
+            if first == NEG:
+                return Not(last)
+            if first.__class__ is tuple and first[0] == "binds":
+                return ForAll(first[1], last)
+    return None
+
 
 def _parse_tokens(tokens: list[Token]) -> Expr:
     """The expression whose official string is tokens.
 
-    Explicit-stack, like syntax.parse, so nesting is bounded by memory.
+    Every compound of the official string is parenthesised, with its
+    function or predicate symbol right before its '('.  So one stack of
+    open parentheses reads it: each symbol is shifted, and each ')' reduces
+    what follows its matching '(', with that head symbol, to one value.
+    tokens must be normalised, every numeral one token, so that _numeral
+    alone applies EXPAND_MAX.  Nothing recurses, so nesting is bounded by
+    memory.
     """
-    n = len(tokens)
-    if n == 0:
+    if not tokens:
         raise NotACodeError("empty official string")
-
-    # Reads past the end, by up to the longest lookahead, give None.
-    toks = tokens + [None] * 5
-
-    def take(i: int, expected: Token, what: str) -> None:
-        if toks[i] != expected:
-            raise NotACodeError(f"official string malformed: expected {what}")
-
-    def numeral(value: int) -> Term:
-        if value > EXPAND_MAX:
-            return BigNumeral(value)
-        t: Term = Zero()
-        for _ in range(value):
-            t = Succ(t)
-        return t
-
-    # Constructions waiting for a value, innermost last.
-    frames: list[tuple] = []
-    formula = tokens[0] in (EQ_PRED, LPAREN)  # what the next value must be
-    i = 0
-    while True:
-        tok = toks[i]
-        if formula:
-            if tok is None:
-                raise NotACodeError("official string ends inside a formula")
-            if tok == EQ_PRED:
-                take(i + 1, LPAREN, "'('")
-                frames.append(("args", Eq))
-                formula = False
-                i += 2
-            elif tok != LPAREN:
+    items: list = []  # symbols, ("binds", k) and trees
+    opened: list[tuple] = []  # (where its body starts in items, head)
+    for i, tok in enumerate(tokens):
+        if tok == LPAREN:
+            head = tokens[i - 1] if i and tokens[i - 1] in _SHAPES else None
+            if head is not None:
+                items.pop()
+            opened.append((len(items), head))
+        elif tok == RPAREN:
+            if not opened:
+                raise NotACodeError("official string malformed: ')' closes no '('")
+            start, head = opened.pop()
+            value = _compound(head, items[start:])
+            if value is None:
                 raise NotACodeError(
-                    f"unexpected symbol in formula position: {tok!r}"
+                    f"official string malformed: expected {_SHAPES[head]}"
                 )
-            elif toks[i + 1] == NEG:
-                frames.append(("close", Not))
-                i += 2
-            elif toks[i + 1] == LPAREN and toks[i + 2] == FORALL:
-                var = toks[i + 3]
-                if var is None or var[0] != "var":
-                    raise NotACodeError("malformed quantifier prefix")
-                take(i + 4, RPAREN, "')' closing the quantifier prefix")
-                frames.append(("close", ForAll, var[1]))
-                i += 5
-            else:
-                frames.append(("imp",))
-                i += 1
-            continue
-        if tok is None:
-            raise NotACodeError("official string ends inside a term")
-        if tok == SUCC_FN:
-            chain = 0
-            while toks[i] == SUCC_FN:
-                take(i + 1, LPAREN, "'(' after successor")
-                chain += 1
-                i += 2
-            frames.append(("S", chain))
-            continue
-        if tok in (ADD_FN, MUL_FN):
-            take(i + 1, LPAREN, "'('")
-            frames.append(("args", Add if tok == ADD_FN else Mul))
-            i += 2
-            continue
-        if tok == ZERO_CONST:
-            value: Expr = Zero()
-        elif tok[0] == "numrun":
-            value = numeral(tok[1])
+            del items[start:]
+            items.append(value)
         elif tok[0] == "var":
-            value = Var(tok[1])
+            items.append(Var(tok[1]))
+        elif tok[0] == "numrun":
+            items.append(_numeral(tok[1]))
         else:
-            raise NotACodeError(f"unexpected symbol in term position: {tok!r}")
-        i += 1
-        # Hand the value to the waiting constructions until one needs more.
-        while frames:
-            frame = frames[-1]
-            tag = frame[0]
-            if tag == "args":
-                take(i, COMMA, "','")
-                frames[-1] = ("close", frame[1], value)
-                formula = False
-                i += 1
-                break
-            if tag == "imp":
-                take(i, IMP, "'->'")
-                frames[-1] = ("close", Implies, value)
-                formula = True
-                i += 1
-                break
-            if tag == "S":
-                for _ in range(frame[1]):
-                    take(i, RPAREN, "')'")
-                    value = Succ(value)
-                    i += 1
-                total = numeral_value(value)
-                if total is not None and total > EXPAND_MAX:
-                    value = BigNumeral(total)
-            else:
-                take(i, RPAREN, "')'")
-                value = frame[1](*frame[2:], value)
-                i += 1
-            frames.pop()
-        else:
-            break
-    if i != n:
+            items.append(Zero() if tok == ZERO_CONST else tok)
+    if opened:
+        raise NotACodeError("official string malformed: a '(' is never closed")
+    value = items[0]
+    if value.__class__ is tuple:
+        raise NotACodeError(
+            "official string malformed: it does not begin with a term or formula"
+        )
+    if len(items) > 1:
         raise NotACodeError("trailing symbols after a complete expression")
     return value
 
@@ -568,6 +529,7 @@ def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
 
 
 def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
+    """The normalised symbol string that code is the code of."""
     values = iter(_decode_sequence(code, config))
     pairing = config.seq == "pairing"
     tokens: list[Token] = []
@@ -584,7 +546,7 @@ def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
         if symbol is None:
             raise NotACodeError(f"{value} is not a symbol code")
         tokens.append(symbol)
-    return tokens
+    return _normalize_tokens(tokens)
 
 
 def encode_expr(e: Expr, config: NumberingConfig = DEFAULT_CONFIG) -> int:
@@ -620,7 +582,7 @@ def meta_neg(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     expr = _parse_tokens(tokens)
     if not isinstance(expr, Formula):
         raise NotACodeError("not a formula code")
-    return _encode_tokens(_normalize_tokens([LPAREN, NEG, *tokens, RPAREN]), config)
+    return _encode_tokens([LPAREN, NEG, *tokens, RPAREN], config)
 
 
 def meta_sub(
@@ -635,6 +597,8 @@ def meta_sub(
     free occurrence of the variable whose symbol code is var_code by the
     decoded sequence of term_code, then re-encodes.  Mirrors the
     tree-level substitute exactly, including the capture condition.
+    Scopes are read off one stack with an entry per open '(': the
+    variable its quantifier binds, or None.
     """
     var_symbol = code_to_symbol(var_code, config)
     if var_symbol is None or var_symbol[0] != "var":
@@ -651,50 +615,26 @@ def meta_sub(
     term_vars = {tok[1] for tok in term_tokens if tok[0] == "var"}
 
     out: list[Token] = []
-    depth = 0
-    # (variable index, depth before the quantifier's outer lparen)
-    binders: list[tuple[int, int]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        tok = tokens[i]
+    scopes: list[int | None] = []
+    # the variables in scopes, outermost first, so that an occurrence costs
+    # the open quantifiers and not the nesting depth
+    bound: list[int] = []
+    for tok in tokens:
         if tok == LPAREN:
-            if (
-                i + 2 < n
-                and tokens[i + 1] == LPAREN
-                and tokens[i + 2] == FORALL
-            ):
-                var_tok = tokens[i + 3] if i + 3 < n else None
-                if var_tok is None or var_tok[0] != "var":
-                    raise NotACodeError("malformed quantifier prefix")
-                binders.append((var_tok[1], depth))
-                out.extend(tokens[i : i + 5])  # ( ( forall x_k )
-                depth += 1  # net effect of the five tokens
-                i += 5
-                continue
-            depth += 1
-            out.append(tok)
-            i += 1
-            continue
-        if tok == RPAREN:
-            depth -= 1
-            while binders and binders[-1][1] >= depth:
-                binders.pop()
-            out.append(tok)
-            i += 1
-            continue
-        if tok[0] == "var" and tok[1] == target:
-            if any(b == target for b, _ in binders):
-                out.append(tok)  # bound occurrence
-            else:
-                for b, _ in binders:
-                    if b in term_vars:
-                        raise CaptureError(b, target)
-                out.extend(term_tokens)
-            i += 1
+            scopes.append(None)
+        elif tok == RPAREN:
+            if scopes.pop() is not None:
+                bound.pop()
+        elif out[-1:] == [FORALL]:
+            scopes[-2] = tok[1]  # ( ( forall x_k ) B ): the outer '(' binds x_k
+            bound.append(tok[1])
+        elif tok == var_symbol and target not in bound:
+            for b in bound:
+                if b in term_vars:
+                    raise CaptureError(b, target)
+            out += term_tokens
             continue
         out.append(tok)
-        i += 1
     return _encode_tokens(_normalize_tokens(out), config)
 
 

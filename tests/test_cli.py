@@ -344,6 +344,25 @@ def test_top_level_error_prints_the_full_usage(capsys):
     assert err.endswith("error: unrecognized arguments: extra\n")
 
 
+@pytest.mark.parametrize("argv", [["-x"], ["-x", "--foo"]])
+def test_unknown_option_without_a_command_is_named(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: {' '.join(argv)}\n")
+
+
+@pytest.mark.parametrize("argv", [[], ["--"]])
+def test_missing_command_is_still_reported(argv, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: the following arguments are required: command\n")
+
+
 def _readme_cli_rows():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]

@@ -7,6 +7,7 @@ import pytest
 from arithlab.corpus import build_all
 from arithlab.godel import (
     ADD_FN,
+    COMMA,
     DEFAULT_CONFIG,
     EQ_PRED,
     FORALL,
@@ -14,6 +15,7 @@ from arithlab.godel import (
     LPAREN,
     MUL_FN,
     NEG,
+    RPAREN,
     SUCC_FN,
     ZERO_CONST,
     InfeasibleMagnitudeError,
@@ -29,9 +31,11 @@ from arithlab.godel import (
     meta_pf,
     meta_sub,
     nth_prime,
+    official_tokens,
     sym_code,
     symbol_length,
     variable_code,
+    _normalize_tokens,
 )
 from arithlab.proofs import check_proof
 from arithlab.syntax import (
@@ -56,6 +60,21 @@ MEND_PAIR = NumberingConfig(scheme="mendelson", seq="pairing")
 COMPACT_PRIME = NumberingConfig(scheme="compact", seq="prime")
 COMPACT_PAIR = NumberingConfig(scheme="compact", seq="pairing")
 ALL_CONFIGS = [MEND_PRIME, MEND_PAIR, COMPACT_PRIME, COMPACT_PAIR]
+
+
+def pairing_code(tokens, config=MEND_PAIR):
+    """The pairing code of a token stream, spelled exactly as given."""
+    bits = "1"
+    for tok in tokens:
+        values = (1, tok[1]) if tok[0] == "numrun" else (sym_code(tok, config) + 1,)
+        for value in values:
+            bits += "0" * (value.bit_length() - 1) + bin(value)[2:]
+    return int(bits, 2)
+
+
+def successors(k, core):
+    """The stream f_1^1 ( ... f_1^1 ( core ) ... ) with k applications."""
+    return [SUCC_FN, LPAREN] * k + [core] + [RPAREN] * k
 
 
 # ------------------------------------------------------------- numbering
@@ -180,6 +199,60 @@ def test_decode_numeral_spelling():
     assert decode_expr(code, MEND_PAIR) == parse_term("S(S(0))")
     big = encode_expr(numeral(100000), MEND_PAIR)
     assert decode_expr(big, MEND_PAIR) == numeral(100000)
+    # the expansion cap holds however the numeral is spelled
+    chain_500 = decode_expr(pairing_code(successors(500, ZERO_CONST)), MEND_PAIR)
+    assert chain_500 == expand_numerals(numeral(500))
+    for spelled in (successors(501, ZERO_CONST), successors(1, ("numrun", 500))):
+        assert decode_expr(pairing_code(spelled), MEND_PAIR) == numeral(501)
+
+
+def _edited_stream(rng):
+    """A valid official string, some runs spelled out as successor chains,
+    with one token inserted, deleted or replaced."""
+    if rng.random() < 0.7:
+        e = rand_formula(rng, 2, max_numeral=12)
+    else:
+        e = rand_term(rng, 2)
+    tokens = []
+    for tok in official_tokens(e):
+        if tok[0] == "numrun" and rng.random() < 0.5:
+            k = rng.randint(1, tok[1])
+            core = ZERO_CONST if k == tok[1] else ("numrun", tok[1] - k)
+            tokens += successors(k, core)
+        else:
+            tokens.append(tok)
+    alphabet = [LPAREN, RPAREN, COMMA, NEG, IMP, FORALL, ZERO_CONST, SUCC_FN,
+                ADD_FN, MUL_FN, EQ_PRED, ("var", 1), ("var", 2), ("numrun", 3)]
+    leaves = [ZERO_CONST, ("numrun", 1), ("numrun", 499), ("numrun", 500),
+              ("var", 1), ("var", 3)]
+    i = rng.randrange(len(tokens))
+    edit = rng.choice(["insert", "delete", "replace", "respell"])
+    if edit == "insert":
+        tokens.insert(i, rng.choice(alphabet))
+    elif edit == "delete" and len(tokens) > 1:
+        del tokens[i]
+    elif edit == "replace":
+        tokens[i] = rng.choice(alphabet)
+    else:  # a term leaf for another, which keeps most streams well formed
+        i = rng.choice([j for j, tok in enumerate(tokens)
+                        if tok == ZERO_CONST or tok[0] in ("var", "numrun")])
+        tokens[i] = rng.choice(leaves)
+    return tokens
+
+
+def test_decoded_edits_respell_as_the_normalised_stream():
+    # every stream the decoder accepts respells as itself, runs folded
+    rng = random.Random(4711)
+    accepted = 0
+    for _ in range(2000):
+        tokens = _edited_stream(rng)
+        try:
+            e = decode_expr(pairing_code(tokens), MEND_PAIR)
+        except NotACodeError:
+            continue
+        accepted += 1
+        assert official_tokens(e) == _normalize_tokens(tokens)
+    assert accepted > 500
 
 
 def test_deep_decoded_numeral_compares_and_hashes():
@@ -201,6 +274,17 @@ def test_decode_rejects_non_codes():
         decode_expr(2, MEND_PAIR)      # truncated bit stream
     with pytest.raises(NotACodeError):
         decode_expr(2**3, MEND_PRIME)  # a lone parenthesis is not a term
+    # malformed official strings, each with a message naming the problem
+    x1 = ("var", 1)
+    equation = [EQ_PRED, LPAREN, x1, COMMA, ZERO_CONST, RPAREN]
+    for tokens, problem in (
+        ([x1, RPAREN], r"'\)' closes no '\('"),
+        ([LPAREN, NEG, *equation], r"'\(' is never closed"),
+        ([ADD_FN, LPAREN, x1, RPAREN], r"expected f_1\^2 \( t , u \)"),
+        ([*equation, ZERO_CONST], "trailing symbols after a complete expression"),
+    ):
+        with pytest.raises(NotACodeError, match=problem):
+            decode_expr(pairing_code(tokens), MEND_PAIR)
 
 
 def test_lone_variable_is_a_term_code():
@@ -267,6 +351,21 @@ def test_meta_sub_refuses_capture():
     with pytest.raises(CaptureError):
         meta_sub(encode_expr(f, MEND_PAIR), encode_expr(t, MEND_PAIR),
                  variable_code(1, MEND_PAIR), MEND_PAIR)
+    # both routes name the outermost capturing binder
+    f = parse_formula("forall x3 . forall x2 . (x1 = (x2 + x3))")
+    t = parse_term("(x2 + x3)")
+    with pytest.raises(CaptureError) as token_route:
+        meta_sub(encode_expr(f, MEND_PAIR), encode_expr(t, MEND_PAIR),
+                 variable_code(1, MEND_PAIR), MEND_PAIR)
+    with pytest.raises(CaptureError) as tree_route:
+        substitute(f, 1, t)
+    assert token_route.value.binder == tree_route.value.binder == 3
+    # a quantifier's scope ends at its closing parenthesis
+    f = parse_formula("(forall x1 . (x1 = x2) -> (x1 = 0))")
+    t = parse_term("S(x2)")
+    got = meta_sub(encode_expr(f, MEND_PAIR), encode_expr(t, MEND_PAIR),
+                   variable_code(1, MEND_PAIR), MEND_PAIR)
+    assert got == encode_expr(substitute(f, 1, t), MEND_PAIR)
 
 
 def test_meta_sub_on_terms():
