@@ -83,11 +83,8 @@ def cmd_parse(args) -> int:
 def cmd_check_proof(args) -> int:
     proof = parse_proof(_read_file(args.file))
     result = check_proof(proof)
-    if result.accepted:
-        print(f"accepted: {to_text(result.theorem)}")
-        return 0
-    print(f"rejected at line {result.line}: {result.reason}")
-    return 1
+    print(result)
+    return 0 if result.accepted else 1
 
 
 def cmd_encode(args) -> int:

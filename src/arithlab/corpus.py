@@ -6,7 +6,8 @@ with A4 and MP.  ProofBuilder's equality helpers (reflexivity, symmetry,
 transitivity through S1) package the standard derivations.
 
 build_all() returns every corpus proof keyed by name; write_corpus()
-serialises them in the proof file format.
+serialises them in the proof file format, which is what the command
+`arithlab corpus DIR` runs.
 """
 
 from __future__ import annotations
@@ -166,11 +167,3 @@ def write_corpus(directory: str) -> list[str]:
             handle.write(format_proof(proof))
         written.append(path)
     return written
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    target = sys.argv[1] if len(sys.argv) > 1 else "corpus"
-    for path in write_corpus(target):
-        print(path)

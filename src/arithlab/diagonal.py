@@ -51,17 +51,26 @@ class DiagResult:
 
     r and sentence_code are None when the configured encoding cannot
     hold them; defining expressions record what they denote regardless.
+    Those are spelled only when read, since q and p can have more digits
+    than the interpreter converts by default.
     """
 
     formula: Formula
     diag_var: int
+    slot_code: int
     q: int
     p: int
     r: int | None
-    r_expression: str
     sentence: Formula
     sentence_code: int | None
-    sentence_code_expression: str
+
+    @property
+    def r_expression(self) -> str:
+        return f"meta_sub({self.q}, meta_num({self.p}), {self.slot_code})"
+
+    @property
+    def sentence_code_expression(self) -> str:
+        return f"meta_sub({self.p}, meta_num({self.p}), {self.slot_code})"
 
 
 def diagonalize(
@@ -84,9 +93,6 @@ def diagonalize(
     p = encode_expr(closed, config)
     r_formula = substitute(q_formula, diag_var, BigNumeral(p))
     sentence = ForAll(1, r_formula)
-
-    r_expr = f"meta_sub({q}, meta_num({p}), {v})"
-    s_expr = f"meta_sub({p}, meta_num({p}), {v})"
     try:
         num_p = meta_num(p, config)
         r = meta_sub(q, num_p, v, config)
@@ -97,13 +103,12 @@ def diagonalize(
     return DiagResult(
         formula=q_formula,
         diag_var=diag_var,
+        slot_code=v,
         q=q,
         p=p,
         r=r,
-        r_expression=r_expr,
         sentence=sentence,
         sentence_code=sentence_code,
-        sentence_code_expression=s_expr,
     )
 
 

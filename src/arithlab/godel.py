@@ -61,6 +61,7 @@ from .syntax import (
     BigNumeral,
     CaptureError,
     Eq,
+    Expr,
     ForAll,
     Formula,
     Implies,
@@ -74,8 +75,6 @@ from .syntax import (
     succ_entry,
     spell,
 )
-
-Expr = Term | Formula
 
 # Official alphabet symbols, as tagged tuples.
 LPAREN = ("lparen",)

@@ -205,14 +205,9 @@ def parse_interpretation(text: str) -> Interpretation:
     if len(succ) != size:
         raise ModelError(f"field 'succ': expected {size} entries")
     eq = identity_eq(size) if fields["eq"] == ["identity"] else table("eq")
-    try:
-        return Interpretation(
-            size, zero_list[0], tuple(succ), table("add"), table("mul"), eq
-        )
-    except ModelError:
-        raise
-    except Exception as e:  # table shape errors surfaced by validation
-        raise ModelError(str(e)) from e
+    return Interpretation(
+        size, zero_list[0], tuple(succ), table("add"), table("mul"), eq
+    )
 
 
 # --------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Primitive recursive functions and their representing formulas.
 
 A PR function is a term over zero, succ, projections, composition and
-primitive recursion (no minimisation).  eval_pr computes values, and
-represent builds a formula that defines the function's graph inside the
-theory: inputs sit at x1..xn, the output at x(n+1), and every internal
-variable is a fresh higher index bound by a quantifier.
+primitive recursion (no minimisation); each term stores its arity when it
+is made, so terms of any depth can be built.  eval_pr computes values,
+and represent builds a formula that defines the function's graph inside
+the theory: inputs sit at x1..xn, the output at x(n+1), and every
+internal variable is a fresh higher index bound by a quantifier.
 
 Recursion is arithmetised through the beta function
 
@@ -27,11 +28,13 @@ Tarski relation of models, with equations decided in the naturals and
 each quantifier ranging over its recorded range.  Confirmation means the
 formula certifies the true output and rejects every rival candidate up
 to the search bound; it is an empirical check on the construction, not
-a proof.
+a proof.  The range rules of a recursion clause share one memo per
+input: the course of values together with the c and d that code it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -77,18 +80,14 @@ class PRFunc:
 class ZeroFn(PRFunc):
     """The constantly-zero unary function."""
 
-    @property
-    def arity(self) -> int:
-        return 1
+    arity = 1
 
 
 @dataclass(frozen=True)
 class SuccFn(PRFunc):
     """The successor function."""
 
-    @property
-    def arity(self) -> int:
-        return 1
+    arity = 1
 
 
 @dataclass(frozen=True)
@@ -101,10 +100,7 @@ class Proj(PRFunc):
     def __post_init__(self) -> None:
         if self.n < 1 or not 1 <= self.i <= self.n:
             raise PRError(f"bad projection ({self.n}, {self.i})")
-
-    @property
-    def arity(self) -> int:
-        return self.n
+        object.__setattr__(self, "arity", self.n)
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,7 @@ class Comp(PRFunc):
         arities = {g.arity for g in self.inner}
         if len(arities) != 1:
             raise PRError("inner functions must share one arity")
-
-    @property
-    def arity(self) -> int:
-        return self.inner[0].arity
+        object.__setattr__(self, "arity", self.inner[0].arity)
 
 
 @dataclass(frozen=True)
@@ -149,10 +142,7 @@ class Rec(PRFunc):
                 f"recursion step has arity {self.step.arity}, "
                 f"needs base arity + 2 = {self.base.arity + 2}"
             )
-
-    @property
-    def arity(self) -> int:
-        return self.base.arity + 1
+        object.__setattr__(self, "arity", self.base.arity + 1)
 
 
 def eval_pr(f: PRFunc, args: tuple[int, ...] | list[int]) -> int:
@@ -336,26 +326,20 @@ class _Builder:
         c = self.fresh()
         d = self.fresh()
 
-        course_cache: dict[tuple, list[int]] = {}
-        coeff_cache: dict[tuple, tuple[int, int]] = {}
+        @functools.cache
+        def witnesses(args: tuple[int, ...], n: int) -> tuple[list[int], int, int]:
+            # the course of values up to n, then the c and d that code it
+            values = course_of_values(f, args, n)
+            return (values, *find_beta_coeffs(values))
 
-        def course(env: Env) -> list[int]:
-            key = (tuple(env[x] for x in xs), env[n_var])
-            if key not in course_cache:
-                course_cache[key] = course_of_values(f, *key)
-            return course_cache[key]
+        def witness(env: Env) -> tuple[list[int], int, int]:
+            return witnesses(tuple(env[x] for x in xs), env[n_var])
 
-        def coeffs(env: Env) -> tuple[int, int]:
-            key = (tuple(env[x] for x in xs), env[n_var])
-            if key not in coeff_cache:
-                coeff_cache[key] = find_beta_coeffs(course(env))
-            return coeff_cache[key]
-
-        self.rules[c] = lambda env: coeffs(env)[:1]
-        self.rules[d] = lambda env: coeffs(env)[1:]
+        self.rules[c] = lambda env: witness(env)[1:2]
+        self.rules[d] = lambda env: witness(env)[2:]
 
         w = self.fresh()
-        self.rules[w] = lambda env: course(env)[:1]
+        self.rules[w] = lambda env: witness(env)[0][:1]
         start = exists(
             w, conj(self.beta_formula(c, d, Zero(), w), self.build(f.base, xs, w))
         )
@@ -364,8 +348,8 @@ class _Builder:
         u = self.fresh()
         v = self.fresh()
         self.rules[i] = lambda env: range(env[n_var])
-        self.rules[u] = lambda env: course(env)[env[i] : env[i] + 1]
-        self.rules[v] = lambda env: course(env)[env[i] + 1 : env[i] + 2]
+        self.rules[u] = lambda env: witness(env)[0][env[i] : env[i] + 1]
+        self.rules[v] = lambda env: witness(env)[0][env[i] + 1 : env[i] + 2]
         step_body = _conj_all(
             [
                 self.beta_formula(c, d, Var(i), u),

@@ -157,26 +157,33 @@ def find_instantiation(body: Formula, var: int, instance: Formula) -> Term | Non
     free in body and instance equals body.  Returns None when no t works
     (including when t would not be free for x_var in body).
     """
-    if var not in free_vars(body):
-        return Var(var) if semantic_eq(body, instance) else None
     # The only candidate is what instance has where body has its first free
-    # x_var; walk down to it in step, then check the whole instance.
-    b, t = body, instance
-    while b.__class__ is not Var:
-        if b.__class__ is Succ and t.__class__ is BigNumeral and t.value > 0:
-            b, t = b.arg, BigNumeral(t.value - 1)
-        elif b.__class__ is not t.__class__:
-            return None
-        elif b.__class__ is Succ:
-            b, t = b.arg, t.arg
-        elif b.__class__ is Not or b.__class__ is ForAll:
-            if b.__class__ is ForAll and b.index != t.index:
-                return None
-            b, t = b.body, t.body
-        elif var in free_vars(b.left):
-            b, t = b.left, t.left
+    # x_var, or x_var itself when there is none.  Walk the two in step, left
+    # first, past binders of x_var and places where they differ (there no
+    # t can work, and the check below says so); then check the whole.
+    t = Var(var)
+    pairs = [(body, instance)]
+    while pairs:
+        b, i = pairs.pop()
+        cls = b.__class__
+        if cls is Var:
+            if b.index == var:
+                t = i
+                break
+        elif cls is Succ and i.__class__ is BigNumeral and i.value > 0:
+            pairs.append((b.arg, BigNumeral(i.value - 1)))
+        elif cls is not i.__class__ or cls is Zero or cls is BigNumeral:
+            continue
+        elif cls is Succ:
+            pairs.append((b.arg, i.arg))
+        elif cls is Not:
+            pairs.append((b.body, i.body))
+        elif cls is ForAll:
+            if b.index != var and b.index == i.index:
+                pairs.append((b.body, i.body))
         else:
-            b, t = b.right, t.right
+            pairs.append((b.right, i.right))
+            pairs.append((b.left, i.left))
     try:
         result = substitute(body, var, t)
     except CaptureError:

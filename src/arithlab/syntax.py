@@ -26,6 +26,8 @@ keep explicit stacks too.  So nesting depth is bounded by memory, never by
 Python's recursion limit.  Two flat keys are spelled by spell and cached on
 the node asked for them: to_text, and canonical_key, the same spelling with
 every numeral written num(n), which decides semantic_eq and gives the hash.
+substitute carries the open binders of the replacement's variables along
+its one walk, so it takes time linear in the nesting depth.
 """
 
 from __future__ import annotations
@@ -559,24 +561,33 @@ def substitute(e: Expr, var: int, replacement: Term) -> Expr:
     """e with replacement for every free occurrence of x_var.
 
     Raises CaptureError if a free variable of the replacement would fall
-    under a binder of e (the replacement is not free for x_var in e).
+    under a binder of e (the replacement is not free for x_var in e); the
+    binder named is the outermost around the first such occurrence.
     """
+    exposed = free_vars(replacement)
+    # the binders of exposed variables open around the walk, outermost
+    # first; a None on the stack closes the innermost
+    binders: list[int] = []
 
     def forall(f: ForAll, out: list) -> list | None:
-        if f.index == var or var not in free_vars(f.body):
+        if f.index == var:
             out.append(f)
             return None
-        if f.index in free_vars(replacement):
-            raise CaptureError(f.index, var)
-        return [ForAll, f.body, f.index]
+        if f.index not in exposed:
+            return [ForAll, f.body, f.index]
+        binders.append(f.index)
+        return [None, ForAll, f.body, f.index]
+
+    def close(mark: None, out: list) -> None:
+        binders.pop()
 
     def variable(v: Var, out: list) -> None:
+        if v.index == var and binders:
+            raise CaptureError(binders[0], var)
         out.append(replacement if v.index == var else v)
 
-    return spell(e, {**_REBUILD, Var: variable, ForAll: forall})[0]
-
-
-substitute_term = substitute
+    table = {**_REBUILD, Var: variable, ForAll: forall, type(None): close}
+    return spell(e, table)[0]
 
 
 # --------------------------------------------------------------------------
@@ -610,18 +621,3 @@ def expand_numerals(e: Expr, limit: int = 10**6) -> Expr:
 
     return spell(e, {**_REBUILD, BigNumeral: expand})[0]
 
-
-_CANON_REBUILD = {
-    **_REBUILD,
-    Zero: lambda e, out: out.append(BigNumeral(0)),
-    Succ: succ_entry([], [Succ], BigNumeral),
-}
-
-
-def canon_numerals(e: Expr) -> Expr:
-    """Canonical form for comparisons: every numeral becomes a num(n) node.
-
-    Succ chains ending in 0 or num(k) collapse; everything else is kept.
-    This is the tree that canonical_key(e) spells.
-    """
-    return spell(e, _CANON_REBUILD)[0]

@@ -1,5 +1,8 @@
 """Self-referential sentences and the code-level identities behind them."""
 
+import sys
+import time
+
 import pytest
 
 from arithlab.diagonal import (
@@ -19,7 +22,9 @@ from arithlab.godel import (
 from arithlab.corpus import build_all
 from arithlab.syntax import (
     BigNumeral,
+    Eq,
     ForAll,
+    Var,
     free_vars,
     parse_formula,
     substitute,
@@ -75,6 +80,37 @@ def test_diagonalize_prime_route_goes_symbolic():
         f"{variable_code(2, MEND_PRIME)})")
     # the tree route still produced the sentence itself
     assert isinstance(diag.sentence, ForAll)
+
+
+def _binders_over_slot(depth: int):
+    f = Eq(Var(1), Var(2))
+    for _ in range(depth):
+        f = ForAll(3, f)
+    return f
+
+
+def test_diagonalize_under_10k_binders_is_linear():
+    q_formula = _binders_over_slot(10**4)
+    start = time.perf_counter()
+    diag = diagonalize(q_formula, config=MEND_PAIR)
+    elapsed = time.perf_counter() - start
+    assert diag.sentence.body == substitute(q_formula, 2, BigNumeral(diag.p))
+    assert elapsed < 5.0, f"diagonalize took {elapsed:.1f} s"
+
+
+def test_long_codes_need_no_digit_limit_until_spelled():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    q_formula = _binders_over_slot(1000)
+    outer = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # the interpreter default
+    try:
+        diag = diagonalize(q_formula, config=MEND_PAIR)
+        assert diag.p.bit_length() > 4300 * 4
+        assert encode_expr(diag.sentence, MEND_PAIR) == diag.sentence_code
+        assert lemma2_shape_check(q_formula, 1, config=MEND_PAIR).ok
+    finally:
+        sys.set_int_max_str_digits(outer)
 
 
 def test_diagonalize_rejects_terms():

@@ -250,6 +250,15 @@ def test_certificate_decides_a_400_deep_composition():
     assert certificate_eval(rep.formula, {1: 0, 2: 400}, rep.ranges)
 
 
+def test_a_10k_deep_composition_can_be_built():
+    # arity is stored when a term is made, never read down the children
+    f = SuccFn()
+    for _ in range(10**4):
+        f = Comp(SuccFn(), (f,))
+    assert f.arity == 1
+    assert Rec(f, Proj(3, 3)).arity == 2
+
+
 def test_check_representation_confirms_catalog_functions():
     assert check_representation(ADDITION, (2, 2), search_bound=20).verdict \
         == "confirmed"

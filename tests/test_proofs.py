@@ -2,6 +2,7 @@
 
 import os
 import random
+import time
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_deep_instance_is_accepted():
     # S5, GEN, A4 at S^400(x2), MP: the kernel must not hit a depth limit
     result = check_proof(deep_instance_proof(400))
     assert result.accepted, result
+
+
+def test_a4_check_on_a_10k_deep_left_spine_is_linear():
+    body = Eq(Var(1), Var(1))
+    for _ in range(10**4):
+        body = Implies(body, Eq(Var(2), Var(3)))
+    instance = substitute(body, 1, Succ(Zero()))
+    start = time.perf_counter()
+    assert check_axiom(Implies(ForAll(1, body), instance), "A4")
+    assert not check_axiom(Implies(ForAll(2, body), instance), "A4")
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"two A4 checks took {elapsed:.1f} s"
 
 
 FIXED_AXIOMS = {

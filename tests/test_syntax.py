@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 
 import pytest
 
@@ -20,7 +21,6 @@ from arithlab.syntax import (
     SyntaxToolError,
     Var,
     Zero,
-    canon_numerals,
     conj,
     disj,
     exists,
@@ -33,7 +33,6 @@ from arithlab.syntax import (
     parse_term,
     semantic_eq,
     substitute,
-    substitute_term,
     to_text,
 )
 from arithlab.godel import NumberingConfig, decode_expr, encode_expr
@@ -143,7 +142,7 @@ def test_free_vars():
 
 def test_substitute_term():
     t = parse_term("((x1 + x2) * S(x1))")
-    got = substitute_term(t, 1, Zero())
+    got = substitute(t, 1, Zero())
     assert got == parse_term("((0 + x2) * S(0))")
 
 
@@ -167,6 +166,28 @@ def test_substitute_absent_variable_is_identity():
     assert substitute(f, 5, parse_term("x1")) == f
 
 
+def test_capture_names_the_outermost_binder_at_the_first_occurrence():
+    f = parse_formula(
+        "((x2 = x1) -> forall x3 . forall x2 . (forall x3 . (x1 = 0) -> (x1 = x2)))")
+    with pytest.raises(CaptureError) as caught:
+        substitute(f, 1, parse_term("(x2 + x3)"))
+    assert (caught.value.binder, caught.value.var) == (3, 1)
+
+
+def test_substitution_under_10k_binders_is_linear():
+    depth = 10**4
+    body, expected = Eq(Var(1), Var(2)), Eq(Zero(), Var(2))
+    for _ in range(depth):
+        body, expected = ForAll(2, body), ForAll(2, expected)
+    start = time.perf_counter()
+    assert substitute(body, 1, Zero()) == expected
+    with pytest.raises(CaptureError) as caught:
+        substitute(body, 1, Succ(Var(2)))
+    assert (caught.value.binder, caught.value.var) == (2, 1)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"two substitutions took {elapsed:.1f} s"
+
+
 def test_numeral_value():
     assert numeral_value(Zero()) == 0
     assert numeral_value(parse_term("S(S(0))")) == 2
@@ -178,8 +199,6 @@ def test_numeral_value():
 
 def test_expand_and_canon_numerals():
     assert expand_numerals(numeral(3)) == Succ(Succ(Succ(Zero())))
-    assert canon_numerals(parse_term("S(S(S(0)))")) == numeral(3)
-    assert canon_numerals(parse_term("S(num(2))")) == numeral(3)
     with pytest.raises(ValueError):
         expand_numerals(numeral(100), limit=10)
 
