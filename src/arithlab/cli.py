@@ -3,14 +3,19 @@
 One subcommand per workbench operation, with minimal deterministic
 output so results can be scripted against.  Exit codes follow one
 contract everywhere: 0 success / accepted / true, 1 rejected / false /
-violations found / operation refused, 2 malformed input or usage.
+violations found / operation refused, 2 malformed input or usage.  Every
+named error derives from `syntax.ArithlabError`: a `syntax.Refusal`
+(capture, restriction) exits 1, any other one or an unreadable file exits
+2, each with one stderr line and no traceback.
 
 The subcommands are data: `COMMANDS` maps each name to its handler, help
 text and argument specs.  A call builds the top-level parser and only the
 subparser its first argument names; help, no arguments and an unknown
 command build them all.  No parser outlives its call: a process answers one
 query, so a kept parser would save nothing there, and in-process callers
-would share it as state.
+would share it as state.  Likewise this module imports only `syntax`, and
+each handler imports the modules it uses when it runs, so a command loads
+only what it needs.
 """
 
 from __future__ import annotations
@@ -18,36 +23,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import corpus as corpus_mod
-from . import diagonal, models, primrec
-from .godel import (
-    InfeasibleMagnitudeError,
-    NotACodeError,
-    NumberingConfig,
-    NumberingError,
-    decode_expr,
-    encode_expr,
-    encode_proof,
-    meta_neg,
-    meta_num,
-    meta_pf,
-    meta_sub,
-)
-from .proofs import ProofFormatError, check_proof, parse_proof
-from .syntax import (
-    CaptureError,
-    ParseError,
-    SyntaxToolError,
-    parse,
-    parse_formula,
-    to_text,
-)
+from .syntax import ArithlabError, Refusal, parse, parse_formula, to_text
 
 _SEQ_NAMES = {"prime": "prime", "pair": "pairing"}
 _MODE_NAMES = {"standard": "standard", "param": "parameterized"}
 
 
-def _config(args) -> NumberingConfig:
+def _config(args):
+    from .godel import NumberingConfig
     return NumberingConfig(scheme=args.scheme, seq=_SEQ_NAMES[args.seq])
 
 
@@ -56,7 +39,7 @@ def _read_file(path: str) -> str:
         return handle.read()
 
 
-class _ArgError(Exception):
+class _ArgError(ArithlabError):
     """Bad command line value, reported like any other error."""
 
 
@@ -81,6 +64,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_check_proof(args) -> int:
+    from .proofs import check_proof, parse_proof
     proof = parse_proof(_read_file(args.file))
     result = check_proof(proof)
     print(result)
@@ -88,29 +72,34 @@ def cmd_check_proof(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    from .godel import encode_expr
     print(encode_expr(parse(args.text), _config(args)))
     return 0
 
 
 def cmd_decode(args) -> int:
+    from .godel import decode_expr
     code = _int_arg(args.code, "code")
     print(to_text(decode_expr(code, _config(args))))
     return 0
 
 
 def cmd_num(args) -> int:
+    from .godel import meta_num
     n = _int_arg(args.n, "n")
     print(meta_num(n, _config(args)))
     return 0
 
 
 def cmd_neg(args) -> int:
+    from .godel import meta_neg
     code = _int_arg(args.code, "code")
     print(meta_neg(code, _config(args)))
     return 0
 
 
 def cmd_sub(args) -> int:
+    from .godel import meta_sub
     expr = _int_arg(args.expr_code, "expression code")
     term = _int_arg(args.term_code, "term code")
     var = _int_arg(args.var_code, "variable code")
@@ -119,6 +108,7 @@ def cmd_sub(args) -> int:
 
 
 def cmd_pf(args) -> int:
+    from .godel import meta_pf
     u = _int_arg(args.proof_code, "proof code")
     x = _int_arg(args.conclusion_code, "conclusion code")
     if meta_pf(u, x, _config(args)):
@@ -129,12 +119,15 @@ def cmd_pf(args) -> int:
 
 
 def cmd_encode_proof(args) -> int:
+    from .godel import encode_proof
+    from .proofs import parse_proof
     proof = parse_proof(_read_file(args.file))
     print(encode_proof(proof, _config(args)))
     return 0
 
 
 def cmd_diag(args) -> int:
+    from . import diagonal
     formula = parse_formula(args.formula)
     result = diagonal.diagonalize(formula, args.var, _config(args))
     print(f"q {result.q}")
@@ -150,6 +143,7 @@ def cmd_diag(args) -> int:
 
 
 def cmd_represent(args) -> int:
+    from . import primrec
     if args.bound < 0:
         return _fail(f"--bound must be nonnegative, got {args.bound}")
     func = primrec.parse_pr(args.function)
@@ -178,6 +172,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import models
     m = models.parse_interpretation(_read_file(args.model))
     formula = parse_formula(args.formula)
     if models.is_true(m, formula, _MODE_NAMES[args.mode]):
@@ -188,12 +183,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_image(args) -> int:
+    from . import models
     m = models.parse_interpretation(_read_file(args.model))
     print(" ".join(str(v) for v in models.numeral_image(m)))
     return 0
 
 
 def cmd_restrict(args) -> int:
+    from . import models
     m = models.parse_interpretation(_read_file(args.model))
     try:
         print(models.format_interpretation(models.restrict(m)), end="")
@@ -204,6 +201,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chain(args) -> int:
+    from . import models
     m = models.parse_interpretation(_read_file(args.model))
     formula = parse_formula(args.formula)
     universal, instances = models.numeral_chain(
@@ -218,6 +216,7 @@ def cmd_chain(args) -> int:
 
 
 def cmd_metacheck(args) -> int:
+    from . import models
     if args.size < 1:
         return _fail(f"--size must be at least 1, got {args.size}")
     budget: int | str
@@ -242,7 +241,8 @@ def cmd_metacheck(args) -> int:
 
 
 def cmd_corpus(args) -> int:
-    names = corpus_mod.write_corpus(args.directory)
+    from .corpus import write_corpus
+    names = write_corpus(args.directory)
     print(f"wrote {len(names)} proofs to {args.directory}")
     return 0
 
@@ -331,10 +331,29 @@ def build_parser(names=tuple(COMMANDS)) -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_dashed_values(argv) -> list:
+    """argv, a command first, with each value that starts with '-' and a
+    digit glued to the option before it as --option=value.  argparse takes
+    such a value for an option unless it is one number ("--check -1,2"),
+    and glued it reaches the handler's own check."""
+    options = {flag for flag, _ in COMMANDS[argv[0]][2] if flag.startswith("--")}
+    out = [argv[0]]
+    for i, token in enumerate(argv[1:], 1):
+        if token == "--":  # what follows is positional
+            return out + list(argv[i:])
+        if out[-1] in options and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     if argv is None:  # the command name is read before argparse runs
         argv = sys.argv[1:]
-    names = argv[:1] if argv and argv[0] in COMMANDS else tuple(COMMANDS)
+    names = tuple(COMMANDS)
+    if argv and argv[0] in COMMANDS:
+        names, argv = argv[:1], _glue_dashed_values(argv)
     limit = None
     if hasattr(sys, "set_int_max_str_digits"):  # absent before 3.10.7
         limit = sys.get_int_max_str_digits()
@@ -347,12 +366,10 @@ def main(argv=None) -> int:
         if extras:  # parse_args's own message, now also when no command follows
             parser.error("unrecognized arguments: " + " ".join(extras))
         return args.func(args)
-    except (CaptureError, models.RestrictError) as e:
+    except Refusal as e:
         print(f"refused: {e}", file=sys.stderr)
         return 1
-    except (ParseError, NotACodeError, InfeasibleMagnitudeError,
-            NumberingError, primrec.PRError, models.ModelError,
-            SyntaxToolError, _ArgError, ProofFormatError, OSError) as e:
+    except (ArithlabError, OSError) as e:
         return _fail(str(e))
     except RecursionError:  # tarski's antecedents, terms and primrec recurse
         return _fail("input is nested too deeply for this command")

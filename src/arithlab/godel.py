@@ -58,6 +58,7 @@ from dataclasses import dataclass
 from . import proofs as _proofs
 from .syntax import (
     Add,
+    ArithlabError,
     BigNumeral,
     CaptureError,
     Eq,
@@ -105,7 +106,7 @@ MAX_CODE_BITS = 4096
 EXPAND_MAX = 500  # largest numeral decoded as an explicit S chain
 
 
-class NumberingError(Exception):
+class NumberingError(ArithlabError):
     """Base class for coding errors."""
 
 

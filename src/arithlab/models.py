@@ -33,6 +33,7 @@ from functools import lru_cache, partial
 
 from .syntax import (
     Add,
+    ArithlabError,
     BigNumeral,
     Eq,
     ForAll,
@@ -40,6 +41,7 @@ from .syntax import (
     Implies,
     Mul,
     Not,
+    Refusal,
     Succ,
     Term,
     Var,
@@ -59,11 +61,11 @@ MODES = ("standard", "parameterized")
 FULL_SWEEP_LIMIT = 10**6
 
 
-class ModelError(Exception):
+class ModelError(ArithlabError):
     """Malformed interpretation or file format problem."""
 
 
-class RestrictError(ModelError):
+class RestrictError(ModelError, Refusal):
     """The numeral image is not closed under an operation."""
 
 

@@ -42,6 +42,7 @@ from typing import Callable, Sequence
 from .models import tarski
 from .syntax import (
     Add,
+    ArithlabError,
     BigNumeral,
     Eq,
     ForAll,
@@ -57,11 +58,11 @@ from .syntax import (
 )
 
 
-class PRError(Exception):
+class PRError(ArithlabError):
     """Malformed PR function term or evaluation problem."""
 
 
-class CertEvalError(Exception):
+class CertEvalError(ArithlabError):
     """The certificate evaluator met a gap it cannot decide."""
 
 

@@ -51,6 +51,7 @@ from operator import attrgetter
 
 from .syntax import (
     Add,
+    ArithlabError,
     BigNumeral,
     CaptureError,
     Eq,
@@ -143,7 +144,7 @@ class CheckResult:
         return f"rejected at line {self.line}: {self.reason}"
 
 
-class ProofFormatError(Exception):
+class ProofFormatError(ArithlabError):
     """A proof file line that does not match the format."""
 
 

@@ -28,6 +28,9 @@ the node asked for them: to_text, and canonical_key, the same spelling with
 every numeral written num(n), which decides semantic_eq and gives the hash.
 substitute carries the open binders of the replacement's variables along
 its one walk, so it takes time linear in the nesting depth.
+
+ArithlabError, the root of every error arithlab raises by name, and its
+subclass Refusal live here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -176,7 +179,17 @@ def exists(index: int, body: Formula) -> Formula:
 # errors
 
 
-class SyntaxToolError(Exception):
+class ArithlabError(Exception):
+    """Root of every error arithlab raises by name; the CLI reports one as
+    an error line with exit 2."""
+
+
+class Refusal(ArithlabError):
+    """A well-formed request the operation declines (capture, restriction);
+    the CLI reports it with exit 1."""
+
+
+class SyntaxToolError(ArithlabError):
     """Base class for errors raised by this module."""
 
 
@@ -190,7 +203,7 @@ class NodeValueError(SyntaxToolError, ValueError):
     """A variable index below 1 or a negative numeral value."""
 
 
-class CaptureError(SyntaxToolError):
+class CaptureError(SyntaxToolError, Refusal):
     """Substituting a term would capture one of its variables."""
 
     def __init__(self, binder: int, var: int):
@@ -529,31 +542,54 @@ def free_vars(e: Expr) -> frozenset[int]:
     return frozenset(out)
 
 
-# The number of children a node class is built from; ForAll's first
-# argument, its index, is emitted before its body.
-_ARITY = {Succ: 1, Not: 1, Add: 2, Mul: 2, Eq: 2, Implies: 2, ForAll: 2}
-
-
-def _build(cls: type, out: list) -> None:
-    """A node class on the stack builds a node from what was emitted last."""
-    if _ARITY[cls] == 1:
-        out[-1] = cls(out[-1])
+def _rebuilt(mark: tuple, out: list) -> None:
+    """A node's mark, the node and its fields, comes off the stack after
+    what the fields became, which ends out: the node stands for itself
+    unless one of them changed."""
+    if len(mark) == 2:
+        e, field = mark
+        new = out[-1]
+        out[-1] = e if new is field else e.__class__(new)
     else:
-        last = out.pop()
-        out[-1] = cls(out[-1], last)
+        e, first, second = mark
+        new_second = out.pop()
+        new_first = out[-1]
+        if new_first is first and new_second is second:
+            out[-1] = e
+        else:
+            out[-1] = e.__class__(new_first, new_second)
 
 
-# Rebuilds every node, pushing its class after its children; leaves are
-# pieces, emitted whole.
+def _chain_marks(e: Succ, out: list) -> list:
+    """A Succ chain's marks, outermost first, then the term it is over."""
+    marks: list = []
+    while e.__class__ is Succ:
+        marks.append((e, e.arg))
+        e = e.arg
+    marks.append(e)
+    return marks
+
+
+def _pair_marks(e, out: list) -> list:
+    return [(e, e.left, e.right), e.right, e.left]
+
+
+def _forall_marks(e: ForAll, out: list) -> list:
+    return [(e, e.index, e.body), e.body, e.index]
+
+
+# Rebuilds a tree: each node pushes its mark, then its fields (ForAll's
+# index first); leaves are pieces, emitted whole.  What a rebuild leaves
+# unchanged is the very object it came from.
 _REBUILD = {
-    type: _build,
-    Succ: succ_entry([], [Succ]),
-    Add: lambda e, out: [Add, e.right, e.left],
-    Mul: lambda e, out: [Mul, e.right, e.left],
-    Eq: lambda e, out: [Eq, e.right, e.left],
-    Not: lambda e, out: [Not, e.body],
-    Implies: lambda e, out: [Implies, e.right, e.left],
-    ForAll: lambda e, out: [ForAll, e.body, e.index],
+    tuple: _rebuilt,
+    Succ: _chain_marks,
+    Add: _pair_marks,
+    Mul: _pair_marks,
+    Eq: _pair_marks,
+    Not: lambda e, out: [(e, e.body), e.body],
+    Implies: _pair_marks,
+    ForAll: _forall_marks,
 }
 
 
@@ -563,6 +599,7 @@ def substitute(e: Expr, var: int, replacement: Term) -> Expr:
     Raises CaptureError if a free variable of the replacement would fall
     under a binder of e (the replacement is not free for x_var in e); the
     binder named is the outermost around the first such occurrence.
+    A subtree of e with no free x_var comes back as the same object.
     """
     exposed = free_vars(replacement)
     # the binders of exposed variables open around the walk, outermost
@@ -574,9 +611,9 @@ def substitute(e: Expr, var: int, replacement: Term) -> Expr:
             out.append(f)
             return None
         if f.index not in exposed:
-            return [ForAll, f.body, f.index]
+            return _forall_marks(f, out)
         binders.append(f.index)
-        return [None, ForAll, f.body, f.index]
+        return [None, *_forall_marks(f, out)]
 
     def close(mark: None, out: list) -> None:
         binders.pop()
@@ -614,10 +651,13 @@ def expand_numerals(e: Expr, limit: int = 10**6) -> Expr:
     have that many nodes.
     """
 
-    def expand(t: BigNumeral, out: list) -> list:
+    def expand(t: BigNumeral, out: list) -> None:
         if t.value > limit:
             raise ValueError(f"refusing to expand num({t.value}); limit is {limit}")
-        return [Succ] * t.value + [Zero()]
+        term = Zero()
+        for _ in range(t.value):
+            term = Succ(term)
+        out.append(term)
 
     return spell(e, {**_REBUILD, BigNumeral: expand})[0]
 

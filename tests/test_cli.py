@@ -1,6 +1,8 @@
 """Command line interface: outputs and the exit code contract."""
 
 import argparse
+import importlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -8,12 +10,19 @@ from pathlib import Path
 
 import pytest
 
+import arithlab
 from arithlab.cli import COMMANDS, build_parser, main
 from arithlab.corpus import build_all
 from arithlab.godel import NumberingConfig, encode_expr, encode_proof
-from arithlab.models import WITNESS_MODEL, format_interpretation
+from arithlab.models import WITNESS_MODEL, RestrictError, format_interpretation
 from arithlab.proofs import format_proof
-from arithlab.syntax import parse_formula
+from arithlab.syntax import (
+    ArithlabError,
+    CaptureError,
+    ParseError,
+    Refusal,
+    parse_formula,
+)
 
 MEND_PAIR = NumberingConfig(scheme="mendelson", seq="pairing")
 
@@ -264,6 +273,18 @@ def test_usage_errors_exit_two(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["represent", "addition", "--check", "-1,2"],
+    ["represent", "--check", "-1,2", "addition"],
+    ["represent", "addition", "--check=-1,2"],
+])
+def test_a_negative_check_list_reaches_the_handler(capsys, argv):
+    # argparse alone would read "-1,2" as an option and print its usage
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: --check values must be nonnegative, got '-1,2'\n")
+
+
 @pytest.mark.parametrize("size", ["3", "1000000"])
 def test_metacheck_refuses_an_unbounded_full_sweep(size):
     # a subprocess, so that a sweep which does not stop fails the test
@@ -307,6 +328,91 @@ def test_entry_point_runs_as_subprocess():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout.strip() == str(2**15)
+
+
+def _fresh_main(argv):
+    """cli.main(argv) in a fresh interpreter: its exit code, its stdout
+    and the arithlab modules loaded by the end."""
+    script = ("import sys; from arithlab import cli; code = cli.main(); "
+              "print(code, *sorted(m for m in sys.modules "
+              "if m.partition('.')[0] == 'arithlab'))")
+    result = subprocess.run([sys.executable, "-c", script, *argv],
+                            capture_output=True, text=True, timeout=60)
+    assert result.stderr == ""
+    *out, last = result.stdout.splitlines()
+    code, *loaded = last.split()
+    return int(code), out, set(loaded)
+
+
+FRONT = {"arithlab", "arithlab.cli", "arithlab.syntax"}
+
+
+def test_parse_loads_only_cli_and_syntax():
+    assert _fresh_main(["parse", "( x1 = 0 )"]) == (0, ["(x1 = 0)"], FRONT)
+
+
+# one command per module a handler imports, with the modules it loads
+HANDLER_CALLS = [
+    (["check-proof", "PROOF"], {"proofs"}),
+    (["num", "3", "--seq", "pair"], {"godel", "proofs"}),
+    (["diag", "(x1 = x2)"], {"diagonal", "godel", "proofs"}),
+    (["represent", "addition", "--check", "1,2"], {"primrec", "models"}),
+    (["image", "MODEL"], {"models"}),
+    (["corpus", "OUT"], {"corpus", "proofs"}),
+]
+
+
+@pytest.mark.parametrize("argv, uses", HANDLER_CALLS,
+                         ids=[argv[0] for argv, _ in HANDLER_CALLS])
+def test_each_handler_imports_its_modules_on_dispatch(
+        argv, uses, proof_file, witness_file, tmp_path):
+    files = {"PROOF": proof_file, "MODEL": witness_file, "OUT": str(tmp_path / "out")}
+    code, out, loaded = _fresh_main([files.get(arg, arg) for arg in argv])
+    assert code == 0 and out
+    assert loaded == FRONT | {f"arithlab.{name}" for name in uses}
+
+
+def test_every_arithlab_module_is_loaded_by_one_of_those_calls():
+    modules = {info.name for info in pkgutil.iter_modules(arithlab.__path__)}
+    used = set().union(*(uses for _, uses in HANDLER_CALLS))
+    assert used == modules - {"cli", "syntax"}
+
+
+def _defined_exceptions():
+    found = []
+    for info in pkgutil.iter_modules(arithlab.__path__):
+        module = importlib.import_module(f"arithlab.{info.name}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+DEFINED_EXCEPTIONS = _defined_exceptions()
+
+
+def test_every_arithlab_exception_derives_from_the_root():
+    assert {ArithlabError, Refusal, CaptureError, RestrictError} <= set(DEFINED_EXCEPTIONS)
+    for cls in DEFINED_EXCEPTIONS:
+        assert issubclass(cls, ArithlabError), cls
+
+
+_ERROR_ARGS = {ParseError: ("bad input", 3), CaptureError: (2, 1)}
+
+
+@pytest.mark.parametrize("cls", DEFINED_EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_main_reports_each_arithlab_error_on_one_line(cls, monkeypatch, capsys):
+    def raising(args):
+        raise cls(*_ERROR_ARGS.get(cls, ("bad input",)))
+
+    _, help_text, specs = COMMANDS["parse"]
+    monkeypatch.setitem(COMMANDS, "parse", (raising, help_text, specs))
+    refused = issubclass(cls, Refusal)
+    assert main(["parse", "0"]) == (1 if refused else 2)
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: " if refused else "error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_a_call_builds_only_its_own_subparser(monkeypatch, capsys):

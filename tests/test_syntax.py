@@ -166,6 +166,18 @@ def test_substitute_absent_variable_is_identity():
     assert substitute(f, 5, parse_term("x1")) == f
 
 
+def test_substitute_shares_what_it_leaves_unchanged():
+    f = parse_formula(
+        "(forall x1 . (x1 = S(S(x2))) -> ((x1 + x3) = S(S((x2 * x3)))))")
+    got = substitute(f, 1, parse_term("S(0)"))
+    assert got == parse_formula(
+        "(forall x1 . (x1 = S(S(x2))) -> ((S(0) + x3) = S(S((x2 * x3)))))")
+    assert got.left is f.left  # the binder of x1
+    assert got.right.right is f.right.right  # a Succ chain without x1
+    assert got.right.left.right is f.right.left.right
+    assert substitute(f, 5, parse_term("x2")) is f
+
+
 def test_capture_names_the_outermost_binder_at_the_first_occurrence():
     f = parse_formula(
         "((x2 = x1) -> forall x3 . forall x2 . (forall x3 . (x1 = 0) -> (x1 = x2)))")
