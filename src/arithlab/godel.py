@@ -118,6 +118,10 @@ class InfeasibleMagnitudeError(NumberingError):
     """The requested code would blow past the feasibility guard."""
 
 
+class NumberingConfigError(NumberingError, ValueError):
+    """An unknown symbol numbering scheme or sequence encoding."""
+
+
 @dataclass(frozen=True)
 class NumberingConfig:
     """Symbol numbering scheme and sequence encoding."""
@@ -127,9 +131,9 @@ class NumberingConfig:
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise NumberingConfigError(f"unknown scheme {self.scheme!r}")
         if self.seq not in SEQ_ENCODINGS:
-            raise ValueError(f"unknown sequence encoding {self.seq!r}")
+            raise NumberingConfigError(f"unknown sequence encoding {self.seq!r}")
 
 
 DEFAULT_CONFIG = NumberingConfig()

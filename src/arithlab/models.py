@@ -22,6 +22,14 @@ restriction makes familiar logical laws fail is what metacheck hunts
 for: it enumerates small interpretations and evaluates pinned instance
 families, reporting every (interpretation, instance) pair on which an
 expected law breaks.
+
+Each family in LAWS is a tuple of cases, one per pinned item.  A case
+reads only a few cells of a model (zero, succ[a], add[a][b], mul[a][b],
+eq[a][b]), so while metacheck sweeps one size it runs each case once per
+distinct reading of the cells it looks at, and keeps the result at a leaf
+of a decision trie keyed by those cells.  The leaf stands for every model
+that agrees on those cells, and those models reuse its result.  Reports
+and budgets are the same as if every case ran on every model.
 """
 
 from __future__ import annotations
@@ -67,6 +75,11 @@ class ModelError(ArithlabError):
 
 class RestrictError(ModelError, Refusal):
     """The numeral image is not closed under an operation."""
+
+
+class ModelOptionError(ModelError, ValueError):
+    """An unknown mode, family or equality-table filter, or a metacheck
+    budget out of range."""
 
 
 @dataclass(frozen=True)
@@ -258,7 +271,7 @@ def _points(m: Interpretation, mode: str):
         return range(m.size)
     if mode == "parameterized":
         return numeral_image(m)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise ModelOptionError(f"unknown mode {mode!r}")
 
 
 def _read(m: Interpretation, env: Assignment, points) -> Assignment:
@@ -400,9 +413,10 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
     operation tables.
     """
     if eq_tables not in ("identity", "congruent"):
-        raise ValueError(f"unknown eq_tables filter {eq_tables!r}")
+        raise ModelOptionError(f"unknown eq_tables filter {eq_tables!r}")
     domain = range(size)
     rows = list(itertools.product(domain, repeat=size))
+    equivalences = _equivalences(size) if eq_tables == "congruent" else ()
     for zero in domain:
         for succ in rows:
             for add in itertools.product(rows, repeat=size):
@@ -410,22 +424,23 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
                     if eq_tables == "identity":
                         yield normal_interpretation(size, zero, succ, add, mul)
                         continue
-                    for eq in _congruences(size, succ, add, mul):
+                    for eq in _congruences(equivalences, succ, add, mul):
                         yield Interpretation(size, zero, succ, add, mul, eq)
 
 
-def _congruences(size, succ, add, mul):
-    """Equality tables that are congruences for the given operations."""
-    for bits in itertools.product((0, 1), repeat=size * size):
-        eq = tuple(
-            tuple(bits[a * size + b] for b in range(size)) for a in range(size)
-        )
-        if _is_congruence(size, succ, add, mul, eq):
-            yield eq
-
-
-def _is_congruence(size, succ, add, mul, eq) -> bool:
+def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Equality tables that are equivalence relations, in the order of
+    their entries read row by row as a binary number."""
     domain = range(size)
+    out = []
+    for bits in itertools.product((0, 1), repeat=size * size):
+        eq = tuple(tuple(bits[a * size + b] for b in domain) for a in domain)
+        if _is_equivalence(domain, eq):
+            out.append(eq)
+    return out
+
+
+def _is_equivalence(domain, eq) -> bool:
     for a in domain:
         if not eq[a][a]:
             return False
@@ -435,6 +450,18 @@ def _is_congruence(size, succ, add, mul, eq) -> bool:
             for c in domain:
                 if eq[a][b] and eq[b][c] and not eq[a][c]:
                     return False
+    return True
+
+
+def _congruences(equivalences, succ, add, mul):
+    """The equivalence relations that are congruences for the operations."""
+    domain = range(len(succ))
+    for eq in equivalences:
+        if _is_compatible(domain, succ, add, mul, eq):
+            yield eq
+
+
+def _is_compatible(domain, succ, add, mul, eq) -> bool:
     for a in domain:
         for b in domain:
             if not eq[a][b]:
@@ -461,7 +488,7 @@ def random_interpretation(
     zero = rng.randrange(size)
     if eq_tables == "identity":
         return normal_interpretation(size, zero, succ, add, mul)
-    options = list(_congruences(size, succ, add, mul))
+    options = list(_congruences(_equivalences(size), succ, add, mul))
     return Interpretation(size, zero, succ, add, mul, rng.choice(options))
 
 
@@ -573,13 +600,16 @@ CHAIN_CASES: tuple[tuple[int, Formula], ...] = (
 )
 
 
+_COLLAPSE_ITEMS = 30  # known before collapse_suite draws them
+
+
 @lru_cache(maxsize=1)
 def collapse_suite() -> tuple[tuple[int, Formula], ...]:
     """Thirty pinned (variable, body) pairs for the quantifier-collapse
     law, drawn once from a fixed seed."""
     rng = random.Random(471127)
     out = []
-    for _ in range(30):
+    for _ in range(_COLLAPSE_ITEMS):
         x = rng.choice((1, 2))
         out.append((x, _random_formula(rng, depth=3)))
     return tuple(out)
@@ -664,93 +694,181 @@ def numeral_chain(
     return universal, instances
 
 
-# each law yields the detail of every violation it finds in one model
+# each law family is a tuple of cases, one per pinned item; a case gives
+# the detail of the violation it finds in one model, or None
 
 
-def _instances_law(instances, m, mode):
-    for inst in instances:
-        if not is_true(m, inst, mode):
-            yield f"instance not true: {inst}"
+def _instance_case(inst, m, mode):
+    if not is_true(m, inst, mode):
+        return f"instance not true: {inst}"
+    return None
 
 
-def _rules_law(m, mode):
-    for a, b in MP_PAIRS:
-        imp = Implies(a, b)
-        if (
-            is_true(m, a, mode)
-            and is_true(m, imp, mode)
-            and not is_true(m, b, mode)
-        ):
-            yield f"detachment loses truth: {a} with {imp}"
-    for x, b in GEN_CASES:
-        if is_true(m, b, mode) and not is_true(m, ForAll(x, b), mode):
-            yield f"generalisation loses truth: {b} over x{x}"
+def _detachment_case(a, b, m, mode):
+    imp = Implies(a, b)
+    if is_true(m, a, mode) and is_true(m, imp, mode) and not is_true(m, b, mode):
+        return f"detachment loses truth: {a} with {imp}"
+    return None
 
 
-def _duality_law(m, mode):
+def _generalisation_case(x, b, m, mode):
+    if is_true(m, b, mode) and not is_true(m, ForAll(x, b), mode):
+        return f"generalisation loses truth: {b} over x{x}"
+    return None
+
+
+def _duality_case(x, b, m, mode):
     domain = range(m.size)
-    for x, b in DUALITY_CASES:
-        for env in _assignments(domain, sorted(free_vars(b) | {x})):
-            direct = any(satisfies(m, {**env, x: d}, b, mode) for d in domain)
-            if direct != satisfies(m, env, exists(x, b), mode):
-                yield f"existential duality breaks for x{x} in {b} at {env}"
-                break
+    for env in _assignments(domain, sorted(free_vars(b) | {x})):
+        direct = any(satisfies(m, {**env, x: d}, b, mode) for d in domain)
+        if direct != satisfies(m, env, exists(x, b), mode):
+            return f"existential duality breaks for x{x} in {b} at {env}"
+    return None
 
 
-def _substitution_law(m, mode):
-    for b, x, t, sub, fv in _SUBSTITUTIONS:
-        for env in _assignments(range(m.size), fv):
-            lhs = satisfies(m, env, sub, mode)
-            rhs = satisfies(m, {**env, x: term_value(m, t, env, mode)}, b, mode)
-            if lhs != rhs:
-                yield (
-                    f"substitution lemma breaks for {t} into x{x}"
-                    f" of {b} at {env}"
-                )
-                break
-
-
-def _collapse_law(m, mode):
-    points = _points(m, mode)
-    for x, b in collapse_suite():
-        lhs = is_true(m, ForAll(x, b), mode)
-        rhs = all(
-            satisfies(m, {**env, x: d}, b, mode)
-            for env in _assignments(range(m.size), sorted(free_vars(b) - {x}))
-            for d in points
-        )
+def _substitution_case(b, x, t, sub, fv, m, mode):
+    for env in _assignments(range(m.size), fv):
+        lhs = satisfies(m, env, sub, mode)
+        rhs = satisfies(m, {**env, x: term_value(m, t, env, mode)}, b, mode)
         if lhs != rhs:
-            yield f"quantifier collapse mismatch for x{x} in {b}"
+            return (
+                f"substitution lemma breaks for {t} into x{x}"
+                f" of {b} at {env}"
+            )
+    return None
 
 
-def _chain_law(m, mode):
+def _collapse_case(i, m, mode):
+    x, b = collapse_suite()[i]
+    points = _points(m, mode)
+    lhs = is_true(m, ForAll(x, b), mode)
+    rhs = all(
+        satisfies(m, {**env, x: d}, b, mode)
+        for env in _assignments(range(m.size), sorted(free_vars(b) - {x}))
+        for d in points
+    )
+    if lhs != rhs:
+        return f"quantifier collapse mismatch for x{x} in {b}"
+    return None
+
+
+def _chain_case(x, b, m, mode):
     # universal truth must imply every numeral instance; where every point
     # is the value of a numeral (always in parameterized mode) the
     # instances must also add back up to the universal claim
     covered = set(_points(m, mode)) <= set(numeral_image(m))
-    for x, b in CHAIN_CASES:
-        universal, instances = numeral_chain(m, x, b, mode)
-        if universal and not all(instances):
-            yield f"a numeral instance of x{x} escapes {b}"
-        elif covered and all(instances) and not universal:
-            yield (
-                f"numeral instances of x{x} do not lift to the "
-                f"universal claim {b}"
-            )
+    universal, instances = numeral_chain(m, x, b, mode)
+    if universal and not all(instances):
+        return f"a numeral instance of x{x} escapes {b}"
+    if covered and all(instances) and not universal:
+        return (
+            f"numeral instances of x{x} do not lift to the "
+            f"universal claim {b}"
+        )
+    return None
 
 
 LAWS = {
     **{
-        family: partial(_instances_law, instances)
+        family: tuple(partial(_instance_case, inst) for inst in instances)
         for family, instances in A_INSTANCES.items()
     },
-    "rules": _rules_law,
-    "duality": _duality_law,
-    "substitution": _substitution_law,
-    "collapse": _collapse_law,
-    "chain": _chain_law,
+    "rules": (
+        *(partial(_detachment_case, a, b) for a, b in MP_PAIRS),
+        *(partial(_generalisation_case, x, b) for x, b in GEN_CASES),
+    ),
+    "duality": tuple(partial(_duality_case, x, b) for x, b in DUALITY_CASES),
+    "substitution": tuple(
+        partial(_substitution_case, *case) for case in _SUBSTITUTIONS
+    ),
+    # collapse_suite stays lazy: each case draws its item on first use
+    "collapse": tuple(partial(_collapse_case, i) for i in range(_COLLAPSE_ITEMS)),
+    "chain": tuple(partial(_chain_case, x, b) for x, b in CHAIN_CASES),
 }
 FAMILIES = tuple(LAWS)
+
+
+# --------------------------------------------------------------------------
+# the memo metacheck keeps while it sweeps one size: a decision trie per
+# case, keyed by the cells the case read.  A model's cells are numbered
+# zero, succ[a], add[a][b], mul[a][b], eq[a][b]; an internal node is a list
+# [cell, child for value 0, child for value 1, ...], a leaf a 1-tuple
+# holding the case's result, and None a branch no model has taken yet.
+
+_CLEAN = (None,)  # the one leaf of every case that found no violation
+
+
+def _cells(m: Interpretation) -> tuple[int, ...]:
+    return (m.zero, *m.succ, *itertools.chain(*m.add, *m.mul, *m.eq))
+
+
+class _Row:
+    """succ, or one row of add, mul or eq, as a _Reader hands it out."""
+
+    __slots__ = ("_reader", "_cells")
+
+    def __init__(self, reader: _Reader, first: int):
+        self._reader = reader
+        self._cells = range(first, first + reader.size)
+
+    def __getitem__(self, i: int) -> int:
+        return self._reader._read(self._cells[i])
+
+
+class _Reader:
+    """A model as a case sees it on a miss: size, zero and the four tables,
+    with the first read of each cell recorded in order.  Any other
+    attribute raises AttributeError, and comparing or printing the whole
+    model TypeError, so the result of a case depends on the mode, the size
+    and the recorded reads alone."""
+
+    __slots__ = ("size", "succ", "add", "mul", "eq", "_cells", "_reads")
+
+    def __init__(self, size: int, cells: tuple[int, ...]):
+        self.size = size
+        self._cells = cells
+        self._reads: dict[int, int] = {}
+        self.succ = _Row(self, 1)
+        # then the size rows of add, of mul and of eq, in _cells order
+        self.add, self.mul, self.eq = (
+            tuple(_Row(self, 1 + size + (t * size + a) * size) for a in range(size))
+            for t in range(3)
+        )
+
+    @property
+    def zero(self) -> int:
+        return self._read(0)
+
+    def _whole(self, *_):
+        raise TypeError("a case reads a model cell by cell, not as a whole")
+
+    __eq__ = __str__ = _whole
+
+    def _read(self, cell: int) -> int:
+        value = self._cells[cell]
+        self._reads.setdefault(cell, value)
+        return value
+
+
+def _decide(trie: list, case, size: int, cells: tuple[int, ...], mode: str):
+    """The result of case on the model of these cells, from the leaf of
+    the models that agree with it on the cells the case read; on a miss
+    the case runs on a _Reader, and the cells it read, in order, become a
+    new path down from trie[0].  An exception leaves the trie as it was."""
+    node = trie[0]
+    while node.__class__ is list:
+        node = node[cells[node[0]] + 1]
+    if node is not None:
+        return node[0]
+    reader = _Reader(size, cells)
+    detail = case(reader, mode)
+    owner, slot = trie, 0
+    for cell, value in reader._reads.items():
+        if owner[slot] is None:
+            owner[slot] = [cell] + [None] * max(size, 2)  # eq cells: 0, 1
+        owner, slot = owner[slot], value + 1
+    owner[slot] = _CLEAN if detail is None else (detail,)
+    return detail
 
 
 def metacheck(
@@ -763,40 +881,49 @@ def metacheck(
     """Evaluate the pinned instance families over every interpretation of
     size 1..max_size (or until the budget runs out).  A cut report gives
     the largest size it examined as its max_size.  A full sweep of more
-    than FULL_SWEEP_LIMIT algebras raises ValueError."""
+    than FULL_SWEEP_LIMIT algebras raises ModelOptionError, as do an
+    unknown family or mode and a bad budget.
+
+    Each case runs once per distinct reading of the cells it looks at:
+    its result is reused for every later model of the same size that
+    agrees on those cells (see _decide)."""
     families = tuple(families)
     for family in families:
         if family not in LAWS:
-            raise ValueError(f"unknown family {family!r}")
+            raise ModelOptionError(f"unknown family {family!r}")
+    if mode not in MODES:
+        raise ModelOptionError(f"unknown mode {mode!r}")
     if budget == "full":
         algebras = 0
         for size in range(1, max_size + 1):
             algebras += size * size**size * size ** (2 * size * size)
             if algebras > FULL_SWEEP_LIMIT:
-                raise ValueError(
+                raise ModelOptionError(
                     f"a full sweep of sizes<={max_size} covers at least "
                     f"{algebras} interpretations, past the limit of "
                     f"{FULL_SWEEP_LIMIT}; give a numeric budget"
                 )
     elif not isinstance(budget, int) or budget < 1:
-        raise ValueError("budget must be 'full' or a positive integer")
+        raise ModelOptionError("budget must be 'full' or a positive integer")
 
+    cases = [(family, case) for family in families for case in LAWS[family]]
     violations: list[Violation] = []
     examined = 0
     exhausted = True
     reached = max_size
     for size in range(1, max_size + 1):
+        tries = [[None] for _ in cases]
         for m in enumerate_interpretations(size, eq_tables):
             if budget != "full" and examined >= budget:
                 exhausted = False
                 break
             examined += 1
             reached = size
-            violations.extend(
-                Violation(family, m, detail)
-                for family in families
-                for detail in LAWS[family](m, mode)
-            )
+            cells = _cells(m)
+            for (family, case), trie in zip(cases, tries):
+                detail = _decide(trie, case, size, cells, mode)
+                if detail is not None:
+                    violations.append(Violation(family, m, detail))
         if not exhausted:
             break
     return MetacheckReport(

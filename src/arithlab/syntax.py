@@ -203,6 +203,10 @@ class NodeValueError(SyntaxToolError, ValueError):
     """A variable index below 1 or a negative numeral value."""
 
 
+class NumeralLimitError(SyntaxToolError, ValueError):
+    """A numeral too large to spell out as an explicit S chain."""
+
+
 class CaptureError(SyntaxToolError, Refusal):
     """Substituting a term would capture one of its variables."""
 
@@ -653,7 +657,9 @@ def expand_numerals(e: Expr, limit: int = 10**6) -> Expr:
 
     def expand(t: BigNumeral, out: list) -> None:
         if t.value > limit:
-            raise ValueError(f"refusing to expand num({t.value}); limit is {limit}")
+            raise NumeralLimitError(
+                f"refusing to expand num({t.value}); limit is {limit}"
+            )
         term = Zero()
         for _ in range(t.value):
             term = Succ(term)

@@ -257,6 +257,15 @@ def test_metacheck_exit_codes(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["metacheck", "--families", "A1,nonsense"], "unknown family 'nonsense'"),
+    (["metacheck", "--budget", "0"], "budget must be 'full' or a positive integer"),
+])
+def test_metacheck_reports_a_library_error_on_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["metacheck", "--size", "0"],
     ["metacheck", "--size", "-2"],

@@ -21,6 +21,7 @@ from arithlab.godel import (
     InfeasibleMagnitudeError,
     NotACodeError,
     NumberingConfig,
+    NumberingConfigError,
     NumberingError,
     code_to_symbol,
     decode_expr,
@@ -304,6 +305,13 @@ def test_config_validation():
         NumberingConfig(scheme="fancy")
     with pytest.raises(ValueError):
         NumberingConfig(seq="huffman")
+
+
+def test_config_validation_raises_a_named_error():
+    for bad in (dict(scheme="fancy"), dict(seq="huffman")):
+        with pytest.raises(NumberingConfigError) as caught:
+            NumberingConfig(**bad)
+        assert isinstance(caught.value, NumberingError)
 
 
 # ------------------------------------------------------- code operations

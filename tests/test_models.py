@@ -8,12 +8,15 @@ import pytest
 from arithlab.models import (
     A_INSTANCES,
     FAMILIES,
+    LAWS,
     MODES,
     WITNESS_INSTANCE,
     WITNESS_MODEL,
     Interpretation,
     ModelError,
+    ModelOptionError,
     RestrictError,
+    Violation,
     collapse_suite,
     enumerate_interpretations,
     format_interpretation,
@@ -30,7 +33,13 @@ from arithlab.models import (
     satisfies,
     term_value,
 )
-from arithlab.syntax import NodeValueError, parse_formula, parse_term, to_text
+from arithlab.syntax import (
+    ArithlabError,
+    NodeValueError,
+    parse_formula,
+    parse_term,
+    to_text,
+)
 
 STANDARD_TWO = normal_interpretation(
     size=2, zero=0, succ=(1, 0),
@@ -286,6 +295,30 @@ def test_metacheck_rejects_unknown_family():
         metacheck(1, ("A1",), mode="sideways")
 
 
+@pytest.mark.parametrize("call", [
+    lambda: metacheck(1, ("A7",)),
+    lambda: metacheck(1, ("A1",), mode="sideways"),
+    lambda: metacheck(1, ("A1",), budget=0),
+    lambda: metacheck(1, ("A1",), budget="most"),
+    lambda: metacheck(3, ("A1",)),  # past FULL_SWEEP_LIMIT
+    lambda: list(enumerate_interpretations(1, "equal")),
+    lambda: is_true(STANDARD_TWO, parse_formula("(0 = 0)"), mode="sideways"),
+])
+def test_bad_options_raise_a_named_value_error(call):
+    with pytest.raises(ModelOptionError) as caught:
+        call()
+    assert isinstance(caught.value, ArithlabError)
+    assert isinstance(caught.value, ValueError)
+
+
+def test_metacheck_checks_the_mode_before_any_case_runs(monkeypatch):
+    ran = []
+    monkeypatch.setitem(LAWS, "probe", (lambda m, mode: ran.append(m),))
+    with pytest.raises(ModelOptionError, match="unknown mode 'sideways'"):
+        metacheck(1, ("probe",), mode="sideways")
+    assert ran == []
+
+
 def test_metacheck_collapse_family_clean_both_modes():
     for mode in ("standard", "parameterized"):
         report = metacheck(1, ("collapse",), mode=mode)
@@ -335,3 +368,81 @@ def test_collapse_suite_is_pinned():
     assert collapse_suite() is suite       # cached, not rebuilt
     for var, f in suite:
         assert var in (1, 2)
+
+
+# ------------------------------------------------------ metacheck's memo
+
+
+def _direct_violations(sweep, families, mode):
+    """What metacheck reports, from every case run on every model."""
+    return tuple(
+        Violation(family, m, detail)
+        for m in sweep
+        for family in families
+        for case in LAWS[family]
+        if (detail := case(m, mode)) is not None
+    )
+
+
+def _thinned(monkeypatch, strides):
+    """Make metacheck sweep every strides[size]-th model, and return that
+    enumeration.  Every case run on every model costs about 3 ms a model
+    for the ten families, so a full size-2 sweep would take 6 s a mode."""
+
+    def thinned(size, eq_tables="identity"):
+        return itertools.islice(
+            enumerate_interpretations(size, eq_tables), 0, None, strides[size])
+
+    monkeypatch.setattr("arithlab.models.enumerate_interpretations", thinned)
+    return thinned
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_memoised_metacheck_matches_every_case_run_directly(mode, monkeypatch):
+    thinned = _thinned(monkeypatch, {1: 1, 2: 7, 3: 97})
+    budget = 1 + 293 + 30  # all of sizes 1 and 2, then into size 3
+    report = metacheck(3, FAMILIES, mode, budget)
+    assert report.max_size == 3 and report.examined == budget
+    sweep = itertools.chain(thinned(1), thinned(2), thinned(3))
+    assert report.violations == _direct_violations(
+        itertools.islice(sweep, budget), FAMILIES, mode)
+    if mode == "parameterized":
+        assert {v.family for v in report.violations} == {"A4", "substitution"}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_memoised_congruent_metacheck_matches_every_case_run_directly(mode, monkeypatch):
+    thinned = _thinned(monkeypatch, {1: 1, 2: 5})
+    families = ("A1", "A2", "A3", "A4", "A5", "rules")
+    report = metacheck(2, families, mode, eq_tables="congruent")
+    assert report.exhausted and report.examined == 1 + 820
+    sweep = itertools.chain(thinned(1, "congruent"), thinned(2, "congruent"))
+    assert report.violations == _direct_violations(sweep, families, mode)
+
+
+def test_metacheck_runs_a_case_once_per_reading_of_its_cells(monkeypatch):
+    runs = []
+
+    def counted(case):
+        return lambda m, mode: runs.append(m) or case(m, mode)
+
+    monkeypatch.setitem(LAWS, "A4", tuple(map(counted, LAWS["A4"])))
+    report = metacheck(2, ("A4",), "parameterized")
+    assert len(report.violations) == 512
+    # 5 cases x 2049 models run directly; far fewer readings differ
+    assert 5 <= len(runs) < 5 * report.examined // 10
+
+
+@pytest.mark.parametrize("peek", [
+    lambda m: m.normal,
+    lambda m: format_interpretation(m),
+    lambda m: f"{m}",
+    lambda m: m == WITNESS_MODEL,
+    lambda m: m.add[0][m.size],
+])
+def test_a_case_that_reads_past_the_cells_raises(peek, monkeypatch):
+    # a result that rested on anything but the recorded cells could not
+    # be reused for every model that agrees on them
+    monkeypatch.setitem(LAWS, "peek", (lambda m, mode: peek(m) and None,))
+    with pytest.raises((AttributeError, IndexError, TypeError)):
+        metacheck(2, ("peek",))

@@ -16,6 +16,7 @@ from arithlab.syntax import (
     Mul,
     NodeValueError,
     Not,
+    NumeralLimitError,
     ParseError,
     Succ,
     SyntaxToolError,
@@ -213,6 +214,12 @@ def test_expand_and_canon_numerals():
     assert expand_numerals(numeral(3)) == Succ(Succ(Succ(Zero())))
     with pytest.raises(ValueError):
         expand_numerals(numeral(100), limit=10)
+
+
+def test_expand_numerals_past_its_limit_raises_a_named_error():
+    with pytest.raises(NumeralLimitError, match="limit is 10"):
+        expand_numerals(parse_formula("(x1 = num(100))"), limit=10)
+    assert issubclass(NumeralLimitError, SyntaxToolError)
 
 
 def test_semantic_eq_ignores_numeral_spelling():
