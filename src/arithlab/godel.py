@@ -122,6 +122,10 @@ class NumberingConfigError(NumberingError, ValueError):
     """An unknown symbol numbering scheme or sequence encoding."""
 
 
+class NumeralRangeError(NumberingError, ValueError):
+    """A numeral asked for a negative number."""
+
+
 @dataclass(frozen=True)
 class NumberingConfig:
     """Symbol numbering scheme and sequence encoding."""
@@ -575,7 +579,7 @@ def decode_expr(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> Expr:
 def meta_num(n: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     """Code of the numeral for n, built without a syntax tree."""
     if n < 0:
-        raise ValueError("numerals exist for n >= 0 only")
+        raise NumeralRangeError("numerals exist for n >= 0 only")
     tokens: list[Token] = [ZERO_CONST] if n == 0 else [("numrun", n)]
     return _encode_tokens(tokens, config)
 

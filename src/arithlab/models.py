@@ -29,7 +29,9 @@ eq[a][b]), so while metacheck sweeps one size it runs each case once per
 distinct reading of the cells it looks at, and keeps the result at a leaf
 of a decision trie keyed by those cells.  The leaf stands for every model
 that agrees on those cells, and those models reuse its result.  Reports
-and budgets are the same as if every case ran on every model.
+and budgets are the same as if every case ran on every model.  A case
+reads zero only for 0, a numeral or an unassigned variable, and succ only
+at the values its successor steps pass, so its leaves stay few.
 """
 
 from __future__ import annotations
@@ -119,11 +121,7 @@ class Interpretation:
 
     @property
     def normal(self) -> bool:
-        return all(
-            self.eq[a][b] == (1 if a == b else 0)
-            for a in range(self.size)
-            for b in range(self.size)
-        )
+        return self.eq == identity_eq(self.size)
 
     def __str__(self) -> str:
         return format_interpretation(self)
@@ -229,31 +227,28 @@ def parse_interpretation(text: str) -> Interpretation:
 # valuation
 
 
+def _walk(m: Interpretation, v: int, k: int) -> tuple[dict[int, int], int]:
+    """Follow succ from v for at most k steps or to the first repeat: the
+    position of each value passed, in order, and the value it stopped at."""
+    pos: dict[int, int] = {}
+    while len(pos) < k and v not in pos:
+        pos[v] = len(pos)
+        v = m.succ[v]
+    return pos, v
+
+
 def numeral_image(m: Interpretation) -> tuple[int, ...]:
     """Closure of zero under succ, in discovery order."""
-    seen = []
-    present = set()
-    v = m.zero
-    while v not in present:
-        seen.append(v)
-        present.add(v)
-        v = m.succ[v]
-    return tuple(seen)
+    return tuple(_walk(m, m.zero, m.size + 1)[0])
 
 
 def _apply_succ(m: Interpretation, v: int, k: int) -> int:
-    """succ applied k times to v, collapsing along the eventual cycle."""
-    path = []
-    pos: dict[int, int] = {}
-    while v not in pos:
-        pos[v] = len(path)
-        path.append(v)
-        v = m.succ[v]
-    if k < len(path):
-        return path[k]
-    entry = pos[v]
-    period = len(path) - entry
-    return path[entry + (k - entry) % period]
+    """succ applied k times to v, folding k along a cycle the walk met."""
+    pos, v = _walk(m, v, k)
+    if v not in pos:
+        return v
+    path, entry = list(pos), pos[v]
+    return path[entry + (k - entry) % (len(path) - entry)]
 
 
 def numeral_value_in(m: Interpretation, n: int) -> int:
@@ -301,7 +296,7 @@ def term_value(
 
 def _value(m: Interpretation, t: Term, env: Assignment) -> int:
     if isinstance(t, Var):
-        return env.get(t.index, m.zero)
+        return env[t.index] if t.index in env else m.zero
     if isinstance(t, Zero):
         return m.zero
     if isinstance(t, BigNumeral):
@@ -416,41 +411,30 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
         raise ModelOptionError(f"unknown eq_tables filter {eq_tables!r}")
     domain = range(size)
     rows = list(itertools.product(domain, repeat=size))
-    equivalences = _equivalences(size) if eq_tables == "congruent" else ()
+    congruent = eq_tables == "congruent"
+    equivalences = _equivalences(size) if congruent else ()
+    identity = (identity_eq(size),)
     for zero in domain:
         for succ in rows:
             for add in itertools.product(rows, repeat=size):
                 for mul in itertools.product(rows, repeat=size):
-                    if eq_tables == "identity":
-                        yield normal_interpretation(size, zero, succ, add, mul)
-                        continue
-                    for eq in _congruences(equivalences, succ, add, mul):
+                    if congruent:
+                        eqs = _congruences(equivalences, succ, add, mul)
+                    else:
+                        eqs = identity
+                    for eq in eqs:
                         yield Interpretation(size, zero, succ, add, mul, eq)
 
 
 def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Equality tables that are equivalence relations, in the order of
-    their entries read row by row as a binary number."""
+    """Equality tables that are equivalence relations, as the kernels of
+    the maps of the domain into itself, in the order of their entries
+    read row by row as a binary number."""
     domain = range(size)
-    out = []
-    for bits in itertools.product((0, 1), repeat=size * size):
-        eq = tuple(tuple(bits[a * size + b] for b in domain) for a in domain)
-        if _is_equivalence(domain, eq):
-            out.append(eq)
-    return out
-
-
-def _is_equivalence(domain, eq) -> bool:
-    for a in domain:
-        if not eq[a][a]:
-            return False
-        for b in domain:
-            if eq[a][b] != eq[b][a]:
-                return False
-            for c in domain:
-                if eq[a][b] and eq[b][c] and not eq[a][c]:
-                    return False
-    return True
+    return sorted({
+        tuple(tuple(int(f[a] == f[b]) for b in domain) for a in domain)
+        for f in itertools.product(domain, repeat=size)
+    })
 
 
 def _congruences(equivalences, succ, add, mul):

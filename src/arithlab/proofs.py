@@ -81,7 +81,7 @@ class Axiom:
 
     def __post_init__(self) -> None:
         if self.tag not in ALL_AXIOM_TAGS:
-            raise ValueError(f"unknown axiom tag {self.tag!r}")
+            raise ProofArgumentError(f"unknown axiom tag {self.tag!r}")
 
     def __str__(self) -> str:
         return self.tag
@@ -126,7 +126,7 @@ class Proof:
     @property
     def conclusion(self) -> Formula:
         if not self.lines:
-            raise ValueError("empty proof has no conclusion")
+            raise ProofArgumentError("empty proof has no conclusion")
         return self.lines[-1].formula
 
 
@@ -146,6 +146,11 @@ class CheckResult:
 
 class ProofFormatError(ArithlabError):
     """A proof file line that does not match the format."""
+
+
+class ProofArgumentError(ArithlabError, ValueError):
+    """An unknown axiom tag, the conclusion of an empty proof, or a
+    ProofBuilder step given a line or terms that do not fit it."""
 
 
 # --------------------------------------------------------------------------
@@ -309,7 +314,7 @@ def schema_instance(tag: str, **parts) -> Formula:
 def check_axiom(f: Formula, tag: str) -> bool:
     """Whether f is an instance of the named axiom (schema)."""
     if tag not in _FLAT:
-        raise ValueError(f"unknown axiom tag {tag!r}")
+        raise ProofArgumentError(f"unknown axiom tag {tag!r}")
     return _holds(*_FLAT[tag], f)
 
 
@@ -493,7 +498,7 @@ class ProofBuilder:
     def mp(self, premise: int, implication: int) -> int:
         impl = self.formula(implication)
         if not isinstance(impl, Implies):
-            raise ValueError(f"line {implication} is not an implication")
+            raise ProofArgumentError(f"line {implication} is not an implication")
         return self.add(impl.right, ModusPonens(premise, implication))
 
     def gen(self, source: int, var: int) -> int:
@@ -507,7 +512,7 @@ class ProofBuilder:
         base = schema_instance(tag)
         axiom_vars = sorted(free_vars(base))
         if len(terms) != len(axiom_vars):
-            raise ValueError(
+            raise ProofArgumentError(
                 f"{tag} has {len(axiom_vars)} variables, got {len(terms)} terms"
             )
         line = self.axiom(tag, base)

@@ -70,6 +70,11 @@ class _Node:
     def __str__(self) -> str:
         return to_text(self)
 
+    def __repr__(self) -> str:
+        # spelled by spell, so any depth shows; the key writes numerals in
+        # hexadecimal, which has no digit limit
+        return f"<{self.__class__.__name__} {canonical_key(self)}>"
+
 
 class Term(_Node):
     """Base class for terms."""
@@ -83,7 +88,7 @@ class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Var(Term):
     index: int
 
@@ -92,29 +97,29 @@ class Var(Term):
             raise NodeValueError(f"variable index must be >= 1, got {self.index}")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Zero(Term):
     pass
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Succ(Term):
     arg: Term
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Add(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Mul(Term):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BigNumeral(Term):
     """The numeral for n, kept as a count instead of a Succ chain."""
 
@@ -125,24 +130,24 @@ class BigNumeral(Term):
             raise NodeValueError(f"numeral value must be >= 0, got {self.value}")
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eq(Formula):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ForAll(Formula):
     index: int
     body: Formula

@@ -23,6 +23,7 @@ from arithlab.godel import (
     NumberingConfig,
     NumberingConfigError,
     NumberingError,
+    NumeralRangeError,
     code_to_symbol,
     decode_expr,
     encode_expr,
@@ -326,6 +327,13 @@ def test_meta_num_matches_numeral_codes():
 def test_meta_num_rejects_negative():
     with pytest.raises(ValueError):
         meta_num(-1)
+
+
+def test_meta_num_rejects_negative_with_a_named_error():
+    with pytest.raises(NumeralRangeError) as caught:
+        meta_num(-1)
+    assert isinstance(caught.value, NumberingError)
+    assert isinstance(caught.value, ValueError)
 
 
 def test_meta_neg_matches_syntactic_negation():

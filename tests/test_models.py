@@ -32,6 +32,10 @@ from arithlab.models import (
     restrict,
     satisfies,
     term_value,
+    _apply_succ,
+    _cells,
+    _equivalences,
+    _Reader,
 )
 from arithlab.syntax import (
     ArithlabError,
@@ -446,3 +450,60 @@ def test_a_case_that_reads_past_the_cells_raises(peek, monkeypatch):
     monkeypatch.setitem(LAWS, "peek", (lambda m, mode: peek(m) and None,))
     with pytest.raises((AttributeError, IndexError, TypeError)):
         metacheck(2, ("peek",))
+
+
+def _reads(m: Interpretation, run) -> list[int]:
+    """The cells of m that run reads from a _Reader of m, in order."""
+    reader = _Reader(m.size, _cells(m))
+    run(reader)
+    return list(reader._reads)
+
+
+def test_successor_reads_succ_only_along_the_steps_it_takes():
+    # STANDARD_TWO has succ = (1, 0); cell 1 is succ[0]
+    term = parse_term("S(x1)")
+    assert _reads(STANDARD_TWO, lambda m: term_value(m, term, {1: 0})) == [1]
+
+
+def test_a_variable_reads_zero_only_when_unassigned():
+    # cells 11 and 14 of a size-2 model are eq[0][0] and eq[1][1]
+    f = parse_formula("forall x1 . (x1 = x1)")
+    assert _reads(STANDARD_TWO, lambda m: is_true(m, f, "standard")) == [11, 14]
+    x2 = parse_term("x2")
+    assert _reads(STANDARD_TWO, lambda m: term_value(m, x2, {})) == [0]
+
+
+def test_successor_powers_match_stepping_one_at_a_time():
+    rng = random.Random(2024)
+    for _ in range(300):
+        m = random_interpretation(rng, rng.randint(1, 5))
+        for v in range(m.size):
+            steps = [v]
+            for _ in range(2 * m.size):
+                steps.append(m.succ[steps[-1]])
+            # past size steps the walk is on the cycle; laps is a whole
+            # number of turns of it
+            laps = 2 * m.size - steps.index(steps[-1], m.size)
+            for k in (*range(2 * m.size + 1), 10**9, 10**30):
+                tail = k if k <= 2 * m.size else m.size + (k - m.size) % laps
+                assert _apply_succ(m, v, k) == steps[tail]
+        image = numeral_image(m)
+        assert list(image) == [numeral_value_in(m, k) for k in range(len(image))]
+        assert numeral_value_in(m, len(image)) in image
+
+
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_equivalences_are_the_transitive_tables_in_bit_order(size):
+    domain = range(size)
+    tables = (
+        tuple(tuple(bits[a * size + b] for b in domain) for a in domain)
+        for bits in itertools.product((0, 1), repeat=size * size)
+    )
+    expected = [
+        eq for eq in tables
+        if all(eq[a][a] and eq[a][b] == eq[b][a]
+               and (eq[a][c] or not (eq[a][b] and eq[b][c]))
+               for a in domain for b in domain for c in domain)
+    ]
+    assert len(expected) == (1, 2, 5)[size - 1]
+    assert _equivalences(size) == expected

@@ -14,6 +14,7 @@ from arithlab.proofs import (
     Generalization,
     ModusPonens,
     Proof,
+    ProofArgumentError,
     ProofBuilder,
     ProofFormatError,
     ProofLine,
@@ -26,6 +27,8 @@ from arithlab.proofs import (
     parse_proof,
 )
 from arithlab.syntax import (
+    Add,
+    ArithlabError,
     CaptureError,
     Eq,
     ForAll,
@@ -245,6 +248,38 @@ def test_check_axiom_rejects_unknown_tag():
     with pytest.raises(ValueError):
         check_axiom(parse_formula("(0 = 0)"), "A9")
     assert "IND" in ALL_AXIOM_TAGS
+
+
+def _mp_on_an_equation():
+    b = ProofBuilder()
+    n = b.add(parse_formula("((x1 + 0) = x1)"), Axiom("S5"))
+    return b.mp(n, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Axiom("A9"),
+    lambda: check_axiom(parse_formula("(0 = 0)"), "A9"),
+    lambda: Proof(()).conclusion,
+    _mp_on_an_equation,
+    lambda: ProofBuilder().proper_instance("S1", [Zero()]),
+], ids=["axiom", "check_axiom", "conclusion", "mp", "proper_instance"])
+def test_misuse_raises_a_named_value_error(call):
+    with pytest.raises(ProofArgumentError) as caught:
+        call()
+    assert isinstance(caught.value, ArithlabError)
+    assert isinstance(caught.value, ValueError)
+
+
+def test_check_result_repr_holds_a_deep_theorem():
+    t = Zero()
+    for _ in range(3000):
+        t = Add(t, Var(1))
+    theorem = Eq(t, t)
+    try:
+        text = repr(CheckResult(True, theorem))
+    except RecursionError:  # reported outside the handler, as in test_syntax
+        text = "RecursionError"
+    assert repr(theorem) in text
 
 
 # ---------------------------------------------------------------- corpus

@@ -133,6 +133,22 @@ def test_var_and_numeral_validation():
     assert issubclass(NodeValueError, SyntaxToolError)
 
 
+def test_repr_is_not_recursive():
+    deep = Zero()
+    for _ in range(10**4):
+        deep = Add(deep, Var(1))
+    try:
+        text = repr(deep)
+    except RecursionError:
+        # reported outside the handler: pytest's report of a RecursionError
+        # compares the locals of its frames, each a 10**4-deep tree
+        text = "RecursionError"
+    assert text.startswith("<Add ((((") and text.endswith(" + x1)>")
+    # past the int-string digit limit: the key spells it in hexadecimal
+    assert repr(Succ(numeral(10**5000))) == f"<Succ num({10**5000 + 1:x})>"
+    assert repr(parse_formula("~(x1 = S(0))")) == "<Not ~(x1 = num(1))>"
+
+
 def test_free_vars():
     assert free_vars(parse_formula("(x1 = x2)")) == frozenset({1, 2})
     assert free_vars(parse_formula("forall x1 . (x1 = x2)")) == frozenset({2})
