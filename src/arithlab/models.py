@@ -25,13 +25,15 @@ expected law breaks.
 
 Each family in LAWS is a tuple of cases, one per pinned item.  A case
 reads only a few cells of a model (zero, succ[a], add[a][b], mul[a][b],
-eq[a][b]), so while metacheck sweeps one size it runs each case once per
-distinct reading of the cells it looks at, and keeps the result at a leaf
-of a decision trie keyed by those cells.  The leaf stands for every model
-that agrees on those cells, and those models reuse its result.  Reports
-and budgets are the same as if every case ran on every model.  A case
-reads zero only for 0, a numeral or an unassigned variable, and succ only
-at the values its successor steps pass, so its leaves stay few.
+eq[a][b]), so while metacheck sweeps the cells of one size it runs each
+case once per distinct reading of the cells it looks at, and keeps the
+result at a leaf of a decision trie keyed by those cells.  The leaf
+stands for every model that agrees on those cells, and those models
+reuse its result.  Reports and budgets are the same as if every case ran
+on every model; the sweep builds an Interpretation only for a model that
+a violation names.  A case reads zero only for 0, a numeral or an
+unassigned variable, and succ only at the values its successor steps
+pass, so its leaves stay few.
 """
 
 from __future__ import annotations
@@ -405,25 +407,44 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
     eq_tables selects the equality tables paired with each algebra:
     "identity" yields normal interpretations only, "congruent" also
     yields every non-identity equivalence relation compatible with the
-    operation tables.
-    """
+    operation tables.  Each is built and validated from _sweep's cells."""
+    return map(partial(_model, size), _sweep(size, eq_tables))
+
+
+def _algebra_cells(size: int) -> int:  # the cells before eq's, see _tables
+    return 1 + size + 2 * size * size
+
+
+def _tables(size: int, row) -> tuple[tuple, tuple, tuple]:
+    """The one layout of a model's cells: zero, succ[a], then the rows of add,
+    mul and eq, as tuples of rows; row(first) makes the row from cell first."""
+    rows = tuple(map(row, range(1 + size, _algebra_cells(size) + size * size, size)))
+    return rows[:size], rows[size : 2 * size], rows[2 * size :]
+
+
+def _model(size: int, cells: tuple[int, ...]) -> Interpretation:
+    """The validated Interpretation of a model's cells."""
+    add, mul, eq = _tables(size, lambda first: cells[first : first + size])
+    return Interpretation(size, cells[0], cells[1 : 1 + size], add, mul, eq)
+
+
+def _sweep(size: int, eq_tables: str):
+    """The cells of every interpretation of the given size: each algebra in
+    product order, with each eq table of the filter that is a congruence."""
+    eqs, congruence = _eq_tables(size, eq_tables), _congruence_test(size)
+    for algebra in itertools.product(range(size), repeat=_algebra_cells(size)):
+        for eq in eqs:
+            cells = algebra + eq
+            if eq_tables == "identity" or congruence(cells):
+                yield cells
+
+
+def _eq_tables(size: int, eq_tables: str) -> list[tuple[int, ...]]:
+    """The eq cells a filter offers: identity, or every equivalence."""
     if eq_tables not in ("identity", "congruent"):
         raise ModelOptionError(f"unknown eq_tables filter {eq_tables!r}")
-    domain = range(size)
-    rows = list(itertools.product(domain, repeat=size))
-    congruent = eq_tables == "congruent"
-    equivalences = _equivalences(size) if congruent else ()
-    identity = (identity_eq(size),)
-    for zero in domain:
-        for succ in rows:
-            for add in itertools.product(rows, repeat=size):
-                for mul in itertools.product(rows, repeat=size):
-                    if congruent:
-                        eqs = _congruences(equivalences, succ, add, mul)
-                    else:
-                        eqs = identity
-                    for eq in eqs:
-                        yield Interpretation(size, zero, succ, add, mul, eq)
+    tables = _equivalences(size) if eq_tables == "congruent" else [identity_eq(size)]
+    return [tuple(itertools.chain(*eq)) for eq in tables]
 
 
 def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -437,27 +458,19 @@ def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
     })
 
 
-def _congruences(equivalences, succ, add, mul):
-    """The equivalence relations that are congruences for the operations."""
-    domain = range(len(succ))
-    for eq in equivalences:
-        if _is_compatible(domain, succ, add, mul, eq):
-            yield eq
+def _congruence_test(size: int):
+    """A test of a model's cells: whether eq, an equivalence (so reflexive),
+    relates the values of succ, add and mul at related distinct arguments."""
+    add, mul, eq = _tables(size, lambda first: range(first, first + size))
 
+    def uses(x):  # the cells that take x as an argument, in a fixed order
+        return (1 + x, *add[x], *mul[x], *(row[x] for row in add + mul))
 
-def _is_compatible(domain, succ, add, mul, eq) -> bool:
-    for a in domain:
-        for b in domain:
-            if not eq[a][b]:
-                continue
-            if not eq[succ[a]][succ[b]]:
-                return False
-            for c in domain:
-                if not eq[add[a][c]][add[b][c]] or not eq[add[c][a]][add[c][b]]:
-                    return False
-                if not eq[mul[a][c]][mul[b][c]] or not eq[mul[c][a]][mul[c][b]]:
-                    return False
-    return True
+    checks = [(eq[a][b], tuple(zip(uses(a), uses(b))))
+              for a, b in itertools.product(range(size), repeat=2) if a != b]
+    return lambda cells: all(
+        cells[eq[cells[i]][cells[j]]]
+        for related, pairs in checks if cells[related] for i, j in pairs)
 
 
 def random_interpretation(
@@ -465,15 +478,13 @@ def random_interpretation(
 ) -> Interpretation:
     """One random interpretation; with "congruent" the equality table is
     sampled from the congruences of the drawn algebra."""
-    domain = range(size)
-    succ = tuple(rng.randrange(size) for _ in domain)
-    add = tuple(tuple(rng.randrange(size) for _ in domain) for _ in domain)
-    mul = tuple(tuple(rng.randrange(size) for _ in domain) for _ in domain)
-    zero = rng.randrange(size)
-    if eq_tables == "identity":
-        return normal_interpretation(size, zero, succ, add, mul)
-    options = list(_congruences(_equivalences(size), succ, add, mul))
-    return Interpretation(size, zero, succ, add, mul, rng.choice(options))
+    eqs = _eq_tables(size, eq_tables)
+    # one draw a cell: succ, the rows of add and mul, then zero last
+    *ops, zero = (rng.randrange(size) for _ in range(_algebra_cells(size)))
+    options = [(zero, *ops) + eq for eq in eqs]
+    if eq_tables == "congruent":
+        options = [rng.choice(list(filter(_congruence_test(size), options)))]
+    return _model(size, options[0])
 
 
 # --------------------------------------------------------------------------
@@ -774,29 +785,24 @@ FAMILIES = tuple(LAWS)
 
 # --------------------------------------------------------------------------
 # the memo metacheck keeps while it sweeps one size: a decision trie per
-# case, keyed by the cells the case read.  A model's cells are numbered
-# zero, succ[a], add[a][b], mul[a][b], eq[a][b]; an internal node is a list
-# [cell, child for value 0, child for value 1, ...], a leaf a 1-tuple
-# holding the case's result, and None a branch no model has taken yet.
+# case, keyed by the cells the case read (numbered as in _tables).  An
+# internal node is a list [cell, child for value 0, child for value 1, ...],
+# a leaf a 1-tuple holding the case's result, and None a branch not taken.
 
 _CLEAN = (None,)  # the one leaf of every case that found no violation
-
-
-def _cells(m: Interpretation) -> tuple[int, ...]:
-    return (m.zero, *m.succ, *itertools.chain(*m.add, *m.mul, *m.eq))
 
 
 class _Row:
     """succ, or one row of add, mul or eq, as a _Reader hands it out."""
 
-    __slots__ = ("_reader", "_cells")
+    __slots__ = ("_read", "_cells")
 
     def __init__(self, reader: _Reader, first: int):
-        self._reader = reader
+        self._read = reader._read
         self._cells = range(first, first + reader.size)
 
     def __getitem__(self, i: int) -> int:
-        return self._reader._read(self._cells[i])
+        return self._read(self._cells[i])
 
 
 class _Reader:
@@ -804,20 +810,17 @@ class _Reader:
     with the first read of each cell recorded in order.  Any other
     attribute raises AttributeError, and comparing or printing the whole
     model TypeError, so the result of a case depends on the mode, the size
-    and the recorded reads alone."""
+    and the recorded reads alone.  No row refers back to the reader, so a
+    reader is freed as soon as its case returns."""
 
-    __slots__ = ("size", "succ", "add", "mul", "eq", "_cells", "_reads")
+    __slots__ = ("size", "succ", "add", "mul", "eq", "_read", "_reads")
 
     def __init__(self, size: int, cells: tuple[int, ...]):
         self.size = size
-        self._cells = cells
-        self._reads: dict[int, int] = {}
+        self._reads = reads = {}
+        self._read = lambda cell: reads.setdefault(cell, cells[cell])
         self.succ = _Row(self, 1)
-        # then the size rows of add, of mul and of eq, in _cells order
-        self.add, self.mul, self.eq = (
-            tuple(_Row(self, 1 + size + (t * size + a) * size) for a in range(size))
-            for t in range(3)
-        )
+        self.add, self.mul, self.eq = _tables(size, partial(_Row, self))
 
     @property
     def zero(self) -> int:
@@ -827,11 +830,6 @@ class _Reader:
         raise TypeError("a case reads a model cell by cell, not as a whole")
 
     __eq__ = __str__ = _whole
-
-    def _read(self, cell: int) -> int:
-        value = self._cells[cell]
-        self._reads.setdefault(cell, value)
-        return value
 
 
 def _decide(trie: list, case, size: int, cells: tuple[int, ...], mode: str):
@@ -880,7 +878,7 @@ def metacheck(
     if budget == "full":
         algebras = 0
         for size in range(1, max_size + 1):
-            algebras += size * size**size * size ** (2 * size * size)
+            algebras += size ** _algebra_cells(size)
             if algebras > FULL_SWEEP_LIMIT:
                 raise ModelOptionError(
                     f"a full sweep of sizes<={max_size} covers at least "
@@ -897,16 +895,17 @@ def metacheck(
     reached = max_size
     for size in range(1, max_size + 1):
         tries = [[None] for _ in cases]
-        for m in enumerate_interpretations(size, eq_tables):
+        for cells in _sweep(size, eq_tables):
             if budget != "full" and examined >= budget:
                 exhausted = False
                 break
             examined += 1
             reached = size
-            cells = _cells(m)
+            m = None  # built only for a model with a violation
             for (family, case), trie in zip(cases, tries):
                 detail = _decide(trie, case, size, cells, mode)
                 if detail is not None:
+                    m = m or _model(size, cells)
                     violations.append(Violation(family, m, detail))
         if not exhausted:
             break

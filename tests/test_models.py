@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from functools import partial
 
 import pytest
 
@@ -33,9 +34,10 @@ from arithlab.models import (
     satisfies,
     term_value,
     _apply_succ,
-    _cells,
     _equivalences,
+    _model,
     _Reader,
+    _sweep,
 )
 from arithlab.syntax import (
     ArithlabError,
@@ -253,6 +255,77 @@ def test_random_interpretation_is_reproducible():
     assert a == b
 
 
+def test_random_interpretation_rejects_an_unknown_filter():
+    with pytest.raises(ModelOptionError) as drawn:
+        random_interpretation(random.Random(1), 2, "equal")
+    with pytest.raises(ModelOptionError) as swept:
+        list(enumerate_interpretations(2, "equal"))
+    assert str(drawn.value) == str(swept.value)
+
+
+def _is_equivalence(eq, domain):
+    return all(eq[a][a] and eq[a][b] == eq[b][a]
+               and (eq[a][c] or not (eq[a][b] and eq[b][c]))
+               for a in domain for b in domain for c in domain)
+
+
+def _is_congruence_by_definition(m: Interpretation) -> bool:
+    domain = range(m.size)
+    return all(
+        m.eq[m.succ[a]][m.succ[b]] and all(
+            m.eq[t[a][c]][t[b][c]] and m.eq[t[c][a]][t[c][b]]
+            for t in (m.add, m.mul) for c in domain)
+        for a in domain for b in domain if m.eq[a][b])
+
+
+@pytest.mark.parametrize("eq_tables", ["identity", "congruent"])
+@pytest.mark.parametrize("size", [1, 2])
+def test_enumeration_order_is_that_of_nested_loops_over_the_tables(size, eq_tables):
+    domain = range(size)
+    rows = list(itertools.product(domain, repeat=size))
+    eqs = [identity_eq(size)] if eq_tables == "identity" else [
+        eq for eq in (tuple(tuple(bits[a * size + b] for b in domain) for a in domain)
+                      for bits in itertools.product((0, 1), repeat=size * size))
+        if _is_equivalence(eq, domain)]
+    expected = [
+        (zero, succ, add, mul, eq)
+        for zero in domain
+        for succ in rows
+        for add in itertools.product(rows, repeat=size)
+        for mul in itertools.product(rows, repeat=size)
+        for eq in eqs
+        if _is_congruence_by_definition(
+            Interpretation(size, zero, succ, add, mul, eq))
+    ]
+    assert [(m.zero, m.succ, m.add, m.mul, m.eq)
+            for m in enumerate_interpretations(size, eq_tables)] == expected
+
+
+def test_random_congruent_tables_are_congruences():
+    rng = random.Random(99)
+    for _ in range(200):
+        m = random_interpretation(rng, rng.randint(1, 4), "congruent")
+        assert _is_equivalence(m.eq, range(m.size))
+        assert _is_congruence_by_definition(m)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_reader_and_model_read_one_cell_layout(size):
+    rng = random.Random(size)
+    domain = range(size)
+    for _ in range(20):
+        cells = (*(rng.randrange(size) for _ in range(1 + size + 2 * size * size)),
+                 *(rng.randrange(2) for _ in range(size * size)))
+        m, reader = _model(size, cells), _Reader(size, cells)
+        assert reader.zero == m.zero
+        assert [reader.succ[a] for a in domain] == list(m.succ)
+        for name in ("add", "mul", "eq"):
+            assert [[getattr(reader, name)[a][b] for b in domain] for a in domain] \
+                == [list(row) for row in getattr(m, name)]
+        # every cell was read once, each at its own number
+        assert sorted(reader._reads) == list(range(len(cells)))
+
+
 # ------------------------------------------------------------ metacheck
 
 def test_metacheck_standard_axioms_hold_everywhere():
@@ -389,16 +462,17 @@ def _direct_violations(sweep, families, mode):
 
 
 def _thinned(monkeypatch, strides):
-    """Make metacheck sweep every strides[size]-th model, and return that
-    enumeration.  Every case run on every model costs about 3 ms a model
-    for the ten families, so a full size-2 sweep would take 6 s a mode."""
+    """Make metacheck sweep the cells of every strides[size]-th model, and
+    return that enumeration as models.  Every case run on every model costs
+    about 3 ms a model for the ten families, so a full size-2 sweep would
+    take 6 s a mode."""
 
     def thinned(size, eq_tables="identity"):
-        return itertools.islice(
-            enumerate_interpretations(size, eq_tables), 0, None, strides[size])
+        return itertools.islice(_sweep(size, eq_tables), 0, None, strides[size])
 
-    monkeypatch.setattr("arithlab.models.enumerate_interpretations", thinned)
-    return thinned
+    monkeypatch.setattr("arithlab.models._sweep", thinned)
+    return lambda size, eq_tables="identity": map(
+        partial(_model, size), thinned(size, eq_tables))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -454,7 +528,7 @@ def test_a_case_that_reads_past_the_cells_raises(peek, monkeypatch):
 
 def _reads(m: Interpretation, run) -> list[int]:
     """The cells of m that run reads from a _Reader of m, in order."""
-    reader = _Reader(m.size, _cells(m))
+    reader = _Reader(m.size, (m.zero, *m.succ, *itertools.chain(*m.add, *m.mul, *m.eq)))
     run(reader)
     return list(reader._reads)
 
