@@ -31,7 +31,9 @@ and two sequence encodings:
   pairing     a binary stream: a leading 1 bit, then each symbol code
               plus one as a self-delimiting (Elias gamma) chunk; the
               numeral for n is the chunk 1 followed by the chunk n, so it
-              costs O(log n) bits and diagonal-sized codes stay workable
+              costs O(log n) bits and diagonal-sized codes stay workable.
+              The chunks of the eleven fixed symbols are read and written
+              through one table per scheme, looked up as bit strings
 
 Decoding folds every numeral into one run, then reads the official string
 with one stack of open parentheses: each ')' reduces what follows its '('
@@ -42,7 +44,9 @@ The same two-layer scheme encodes proofs: a proof code is the sequence
 code of its line formulas' expression codes.  Justifications are not
 encoded; the proof predicate re-derives checkability, treating a proof as
 a bare formula sequence in which every line must be an axiom or follow
-from earlier lines by MP or GEN.
+from earlier lines by MP or GEN.  It holds the last line against the
+conclusion first, then decodes and judges the lines in order and stops at
+the first that fails.
 
 The metafunctions operate on codes: meta_num builds numeral codes
 directly, meta_neg and meta_sub rewrite decoded symbol sequences (not
@@ -468,12 +472,35 @@ def _gamma_bits(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
-def _read_gamma(bits: str, i: int) -> tuple[int, int]:
-    one = bits.find("1", i)
-    end = one + (one - i) + 1  # n leading zeros announce an (n+1)-bit chunk
-    if one < 0 or end > len(bits):
-        raise NotACodeError("bit stream ends inside a length-prefixed chunk")
-    return int(bits[one:end], 2), end
+# The chunk of each fixed symbol (its code plus one), per scheme, and the
+# symbol of each such chunk.
+_CHUNKS = {
+    scheme: {sym: _gamma_bits(code + 1) for sym, code in codes.items()}
+    for scheme, codes in _SYMBOL_CODES.items()
+}
+_CHUNK_SYMBOLS = {
+    scheme: {chunk: sym for sym, chunk in chunks.items()}
+    for scheme, chunks in _CHUNKS.items()
+}
+
+
+def _chunks(code: int) -> list[str]:
+    """The Elias gamma chunks of a pairing code's bit stream, as strings."""
+    if code < 1:
+        raise NotACodeError("pairing codes are positive")
+    bits = bin(code)[3:]
+    find = bits.find
+    size = len(bits)
+    chunks = []
+    i = 0
+    while i < size:
+        one = find("1", i)
+        end = 2 * one - i + 1  # n leading zeros announce an (n+1)-bit chunk
+        if one < 0 or end > size:
+            raise NotACodeError("bit stream ends inside a length-prefixed chunk")
+        chunks.append(bits[i:end])
+        i = end
+    return chunks
 
 
 def _encode_pairing_sequence(values: list[int]) -> int:
@@ -486,15 +513,7 @@ def _encode_pairing_sequence(values: list[int]) -> int:
 
 
 def _decode_pairing_sequence(code: int) -> list[int]:
-    if code < 1:
-        raise NotACodeError("pairing codes are positive")
-    bits = bin(code)[3:]
-    values = []
-    i = 0
-    while i < len(bits):
-        value, i = _read_gamma(bits, i)
-        values.append(value)
-    return values
+    return [int(chunk, 2) for chunk in _chunks(code)]
 
 
 # --------------------------------------------------------------------------
@@ -526,35 +545,52 @@ def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
     # sequence rewrites normalise theirs before they get here
     if config.seq == "prime":
         values = [sym_code(s, config) for s in _expand_tokens(tokens)]
-    else:
-        values = []
-        for tok in tokens:
-            if tok[0] == "numrun":
-                values += (1, tok[1])
-            else:
-                values.append(sym_code(tok, config) + 1)
-    return _encode_sequence(values, config)
+        return _encode_prime_sequence(values)
+    chunks = _CHUNKS[config.scheme]
+    parts = ["1"]
+    for tok in tokens:
+        chunk = chunks.get(tok)
+        if chunk is not None:
+            parts.append(chunk)
+        elif tok[0] == "numrun":
+            parts += ("1", _gamma_bits(tok[1]))
+        else:
+            parts.append(_gamma_bits(sym_code(tok, config) + 1))
+    return int("".join(parts), 2)
 
 
 def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
     """The normalised symbol string that code is the code of."""
-    values = iter(_decode_sequence(code, config))
-    pairing = config.seq == "pairing"
+    if config.seq == "prime":
+        return _normalize_tokens(
+            [_symbol(value, config) for value in _decode_prime_sequence(code)]
+        )
+    # a fixed symbol's chunk is looked up as it stands; a variable's or a
+    # numeral run's is read as a number.  The whole stream is split first,
+    # so a cut-off stream is reported as such whatever symbols precede the cut
+    symbols = _CHUNK_SYMBOLS[config.scheme]
     tokens: list[Token] = []
-    for value in values:
-        if pairing:
-            if value == 1:
-                run = next(values, None)
+    chunks = iter(_chunks(code))
+    for chunk in chunks:
+        symbol = symbols.get(chunk)
+        if symbol is None:
+            value = int(chunk, 2) - 1
+            if value == 0:
+                run = next(chunks, None)
                 if run is None:
                     raise NotACodeError("sequence ends inside a numeral run")
-                tokens.append(("numrun", run))
-                continue
-            value -= 1
-        symbol = code_to_symbol(value, config)
-        if symbol is None:
-            raise NotACodeError(f"{value} is not a symbol code")
+                symbol = ("numrun", int(run, 2))
+            else:
+                symbol = _symbol(value, config)
         tokens.append(symbol)
     return _normalize_tokens(tokens)
+
+
+def _symbol(value: int, config: NumberingConfig) -> Symbol:
+    symbol = code_to_symbol(value, config)
+    if symbol is None:
+        raise NotACodeError(f"{value} is not a symbol code")
+    return symbol
 
 
 def encode_expr(e: Expr, config: NumberingConfig = DEFAULT_CONFIG) -> int:
@@ -660,7 +696,10 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
 
     Total: any malformed input yields False, never an exception.  A proof
     here is a nonempty formula sequence in which every formula is an
-    axiom instance or follows from earlier entries by MP or GEN.
+    axiom instance or follows from earlier entries by MP or GEN.  The last
+    line is held against the conclusion first; then the lines are decoded
+    and judged in order, each looked up by canonical key among the earlier
+    ones, and the first that fails ends the check.
     """
     try:
         if not isinstance(u, int) or not isinstance(x, int):
@@ -668,34 +707,31 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
         line_codes = _decode_sequence(u, config)
         if not line_codes:
             return False
-        formulas = [decode_expr(line_code, config) for line_code in line_codes]
+        last = decode_expr(line_codes[-1], config)
         conclusion = decode_expr(x, config)
-        if not all(isinstance(f, Formula) for f in formulas + [conclusion]):
+        if not (isinstance(last, Formula) and isinstance(conclusion, Formula)):
             return False
-        if canonical_key(formulas[-1]) != canonical_key(conclusion):
+        if canonical_key(last) != canonical_key(conclusion):
             return False
-        return _derivable(formulas)
+        earlier: set[str] = set()
+        # canonical key of B -> keys of A, for each earlier line (A -> B)
+        antecedents: dict[str, list[str]] = {}
+        for number, line_code in enumerate(line_codes, 1):
+            f = last if number == len(line_codes) else decode_expr(line_code, config)
+            if not isinstance(f, Formula):
+                return False
+            key = canonical_key(f)
+            if not (
+                any(a in earlier for a in antecedents.get(key, ()))
+                or (isinstance(f, ForAll) and canonical_key(f.body) in earlier)
+                or _proofs.is_any_axiom(f)
+            ):
+                return False
+            earlier.add(key)
+            if isinstance(f, Implies):
+                antecedents.setdefault(canonical_key(f.right), []).append(
+                    canonical_key(f.left)
+                )
+        return True
     except (NumberingError, ValueError):
         return False
-
-
-def _derivable(formulas: list[Formula]) -> bool:
-    """Whether each formula is an axiom or follows from earlier ones by MP
-    or GEN, found by canonical key lookups."""
-    earlier: set[str] = set()
-    # canonical key of B -> keys of A, for each earlier line (A -> B)
-    antecedents: dict[str, list[str]] = {}
-    for f in formulas:
-        key = canonical_key(f)
-        if not (
-            any(a in earlier for a in antecedents.get(key, ()))
-            or (isinstance(f, ForAll) and canonical_key(f.body) in earlier)
-            or _proofs.is_any_axiom(f)
-        ):
-            return False
-        earlier.add(key)
-        if isinstance(f, Implies):
-            antecedents.setdefault(canonical_key(f.right), []).append(
-                canonical_key(f.left)
-            )
-    return True

@@ -1,9 +1,11 @@
 """Symbol numbering, expression and proof codes, code-level operations."""
 
+import hashlib
 import random
 
 import pytest
 
+from arithlab import godel
 from arithlab.corpus import build_all
 from arithlab.godel import (
     ADD_FN,
@@ -41,12 +43,15 @@ from arithlab.godel import (
 )
 from arithlab.proofs import check_proof
 from arithlab.syntax import (
+    BigNumeral,
     CaptureError,
     Not,
+    Var,
     expand_numerals,
     numeral,
     parse_formula,
     parse_term,
+    semantic_eq,
     substitute,
 )
 
@@ -64,14 +69,20 @@ COMPACT_PAIR = NumberingConfig(scheme="compact", seq="pairing")
 ALL_CONFIGS = [MEND_PRIME, MEND_PAIR, COMPACT_PRIME, COMPACT_PAIR]
 
 
+def pairing_sequence(values):
+    """The pairing code of a sequence of positive numbers."""
+    bits = "1"
+    for value in values:
+        bits += "0" * (value.bit_length() - 1) + bin(value)[2:]
+    return int(bits, 2)
+
+
 def pairing_code(tokens, config=MEND_PAIR):
     """The pairing code of a token stream, spelled exactly as given."""
-    bits = "1"
+    values = []
     for tok in tokens:
-        values = (1, tok[1]) if tok[0] == "numrun" else (sym_code(tok, config) + 1,)
-        for value in values:
-            bits += "0" * (value.bit_length() - 1) + bin(value)[2:]
-    return int(bits, 2)
+        values += (1, tok[1]) if tok[0] == "numrun" else (sym_code(tok, config) + 1,)
+    return pairing_sequence(values)
 
 
 def successors(k, core):
@@ -289,6 +300,49 @@ def test_decode_rejects_non_codes():
             decode_expr(pairing_code(tokens), MEND_PAIR)
 
 
+@pytest.mark.parametrize("config", [MEND_PAIR, COMPACT_PAIR])
+def test_pairing_variables_outside_the_chunk_table_round_trip(config):
+    # variables have no fixed chunk: each is written and read as a number
+    for k in (1, 64, 65, 10**6):
+        code = encode_expr(Var(k), config)
+        assert code == pairing_code([("var", k)], config)
+        assert decode_expr(code, config) == Var(k)
+        f = parse_formula(f"forall x{k} . (x{k} = S(x{k}))")
+        assert decode_expr(encode_expr(f, config), config) == f
+
+
+@pytest.mark.parametrize("config", [MEND_PAIR, COMPACT_PAIR])
+def test_pairing_numeral_runs_round_trip(config):
+    for n in (1, 2**40, 10**100):
+        code = encode_expr(BigNumeral(n), config)
+        assert code == pairing_code([("numrun", n)], config) == meta_num(n, config)
+        assert semantic_eq(decode_expr(code, config), BigNumeral(n))
+        f = parse_formula(f"(x1 = (num({n}) + x1))")
+        assert semantic_eq(decode_expr(encode_expr(f, config), config), f)
+
+
+@pytest.mark.parametrize("config", [MEND_PAIR, COMPACT_PAIR])
+def test_pairing_decode_errors_keep_their_messages(config):
+    cases = [
+        (2, "bit stream ends inside a length-prefixed chunk"),  # bits 0
+        (3, "sequence ends inside a numeral run"),  # bits 1
+        # bits 00101 0: a cut-off stream is reported as such, whatever the
+        # chunks before the cut (in mendelson, 4 is no symbol code)
+        (0b1001010, "bit stream ends inside a length-prefixed chunk"),
+    ]
+    if config.scheme == "mendelson":
+        # bits 00101: the chunk 5, so the symbol code 4, which is even
+        cases.append((0b100101, "4 is not a symbol code"))
+    # (in compact every symbol code from 1 up names a symbol)
+    for code, message in cases:
+        with pytest.raises(NotACodeError, match=f"^{message}$"):
+            decode_expr(code, config)
+        with pytest.raises(NotACodeError, match=f"^{message}$"):
+            meta_neg(code, config)
+    with pytest.raises(NotACodeError, match="^pairing codes are positive$"):
+        meta_neg(0, config)
+
+
 def test_lone_variable_is_a_term_code():
     assert decode_expr(2**21, MEND_PRIME) == parse_term("x1")
 
@@ -435,6 +489,65 @@ def test_meta_pf_rejects_broken_proof(corpus):
     assert not meta_pf(u, x, MEND_PAIR)
 
 
+def _line_codes(proof, config=MEND_PAIR):
+    return [encode_expr(line.formula, config) for line in proof.lines]
+
+
+def test_meta_pf_stops_at_the_first_underivable_line(monkeypatch):
+    axiom = parse_formula("((x1 + 0) = x1)")  # an instance of S5
+    lines = [axiom, parse_formula("(0 = S(0))")] + [axiom] * 98
+    u = pairing_sequence([encode_expr(f, MEND_PAIR) for f in lines])
+    x = encode_expr(axiom, MEND_PAIR)
+    decoded = []
+
+    def counted(code, config=DEFAULT_CONFIG):
+        decoded.append(code)
+        return decode_expr(code, config)
+
+    monkeypatch.setattr(godel, "decode_expr", counted)
+    assert meta_pf(u, x, MEND_PAIR) is False
+    # the conclusion, the last line, then lines 1 and 2
+    assert len(decoded) <= 4
+
+
+def test_meta_pf_rejects_junk_after_a_failing_line(corpus):
+    proof = corpus["one_plus_one"]
+    lines = _line_codes(proof)
+    lines[1] = encode_expr(parse_formula("(0 = S(0))"), MEND_PAIR)
+    lines[5] = 2  # no expression code: a truncated bit stream
+    x = encode_expr(proof.conclusion, MEND_PAIR)
+    assert meta_pf(pairing_sequence(lines), x, MEND_PAIR) is False
+
+
+def test_meta_pf_rejects_a_term_as_last_line(corpus):
+    proof = corpus["one_plus_one"]
+    term = encode_expr(parse_term("(S(0) + S(0))"), MEND_PAIR)
+    lines = _line_codes(proof)[:-1] + [term]
+    u = pairing_sequence(lines)
+    assert meta_pf(u, term, MEND_PAIR) is False
+    assert meta_pf(u, encode_expr(proof.conclusion, MEND_PAIR), MEND_PAIR) is False
+
+
+def test_meta_pf_rejects_a_line_copied_ahead_of_its_premises(corpus):
+    proof = corpus["one_plus_one"]
+    lines = _line_codes(proof)
+    # line 5 is MP 3 4; a copy of it as line 3 comes before both premises
+    lines.insert(2, lines[4])
+    x = encode_expr(proof.conclusion, MEND_PAIR)
+    assert meta_pf(pairing_sequence(lines), x, MEND_PAIR) is False
+
+
+def test_meta_pf_rejects_a_prefix_ending_on_another_line(corpus):
+    proof = corpus["one_plus_one"]
+    lines = _line_codes(proof)
+    x = encode_expr(proof.conclusion, MEND_PAIR)
+    for k in (1, 7, len(lines) - 1):
+        assert lines[k - 1] != x
+        assert meta_pf(pairing_sequence(lines[:k]), x, MEND_PAIR) is False
+        # that prefix is itself a proof of its own last line
+        assert meta_pf(pairing_sequence(lines[:k]), lines[k - 1], MEND_PAIR)
+
+
 def test_meta_pf_total_on_junk():
     junk = [0, 1, -7, 2, 3, 12345, 2**80 + 1]
     for u in junk:
@@ -455,6 +568,101 @@ def test_meta_pf_agrees_with_kernel_on_deep_proof():
     assert check_proof(proof).accepted
     u = encode_proof(proof, MEND_PAIR)
     assert meta_pf(u, encode_expr(proof.conclusion, MEND_PAIR), MEND_PAIR)
+
+
+# sha256 of the hex proof code and of the hex line codes, comma-joined, of
+# each corpus proof under the two pairing codings
+GOLDEN_PROOF_CODES = {
+    "mendelson": {
+        "conditional_closure": (
+            "4b310d81f5cf10ee9716d8e524fe8065e05263d74305e590dda78f6c0b2ef1cd",
+            "ccbf53e07b14b41cd6ba10d157440dc7b4465af1498b2475b39b09992ab07a60",
+        ),
+        "contraposition_instance": (
+            "14b470a10a20a5f9bd758238b703cd20ec04f94798215a5be30bd8151bfe0f7b",
+            "e5cfd4a6f2ac2a63e35430842bee2930cf68a0e72c51bb4c127c209ef8749896",
+        ),
+        "gen_plus_zero": (
+            "4c6c0248c1a08688d178aa63e418abb2d704cc6190eaf59b4ac41df98eb21edf",
+            "fe43b7ebef413b7c62b317d275088e29e620e77a29a4ee911dbbb52d749bda2a",
+        ),
+        "implication_identity": (
+            "3593e2dbc324ed51e8f2810bb227ed41658cc7fc19f1c88d36df8adcbfe0e61a",
+            "e382ee84cc3e3046fcdde953c91fdcb99d7a063253d2fe4c22211b979c32a741",
+        ),
+        "induction_left_identity": (
+            "ebdfe75deeb78fbf14d1092090953c71d8344043d4c9d3eab7738fb351305e80",
+            "cf51a53bfb196ae24b77bcd4c6a5c5ed10686aa720de93de40f648a303716405",
+        ),
+        "one_plus_one": (
+            "965bc4ae3d19bf418663cdb743f2c9df1d79d5b1f1ca51d2bd64561435c8de99",
+            "84351fc71a218a427b74eaec00e271525007ac4e39640e41bc65394fa87a58b7",
+        ),
+        "reflexivity_zero": (
+            "4a1cd7c18888b2eefed0f478575570b2d697906ddd0e45408a5ea19225d16b3c",
+            "bd9218bf65de1888d08336b2404def07b1b393072fe60aa708cdfb37a2b7625e",
+        ),
+        "succ_not_zero": (
+            "59d751b30859d6006b3b85c616d1dc5924e2ae3083743f0cab7df46fb56b8c81",
+            "8504b616a5f12cf88597e366e7f1ed199b4d7f20722059923425c81add97ab85",
+        ),
+        "zero_plus_zero": (
+            "fbbd37c2c2416e7b898f11ebe0322e6b685fa8568b682a524400279bb4e21c2d",
+            "89a51518136c32df64b328332ca570458ea2cbb756588b7feee1e08a475403c0",
+        ),
+    },
+    "compact": {
+        "conditional_closure": (
+            "5673dde168f34dd75195dc43767cdf6dc4af2e13505e103a32bcf942ebb27dfc",
+            "aad3dd6ba86ebca57ded1bb181e5bc2511ba59cf52b1fb5b92189b926f17c0ac",
+        ),
+        "contraposition_instance": (
+            "5e263ab872a2c58c3b6ef187fa40b15c16f48f95610f429a022af24f0b940d64",
+            "79d96f4d25165e3d33adf64a3cad4168195b1cdeba7db2d7052988c48a92bd44",
+        ),
+        "gen_plus_zero": (
+            "d70af5f087ef0b15481399883805d2d0232ddf5be569cb8703d8776de22f36e3",
+            "42a50ad882081f3e6f5ec08d78e6896b1bd076b31df77d75ea65a8547d26704f",
+        ),
+        "implication_identity": (
+            "07ff491704eca38f26633a9c544c6db5fa4849bddb8564b170056572c5d367f0",
+            "e7deb9caf834987bb29cdb3b2ccc4ab71a68a65486c6bd8dd834ab04985c645b",
+        ),
+        "induction_left_identity": (
+            "69d49eacd0425211ad2eb2c480afab8a48ca9734e3b987f8750a3dcba3db6927",
+            "3d36fe5efe5896c02314a3e70f9b9e6dad1c3472c82d134d922d0cf3ef92ba91",
+        ),
+        "one_plus_one": (
+            "27de80952f4d587b991b47d97b55e8ceb262f43189c8e5b565c728029099a9da",
+            "06c598b3c936be6db67256b4f4f28bc6797030629d1917e2508d820747094b42",
+        ),
+        "reflexivity_zero": (
+            "3dd6d1fa27d60ccfd32f26b68f0366f8ddb3c0e810682472a4da20903537e2bf",
+            "d2d770cb0fa0d36841b49bd176bcf91e28d701f20f3f5e845df4bd47f8187367",
+        ),
+        "succ_not_zero": (
+            "217a43bd11b749d2c372bfa43b78307357898bc296d569ed9a8c5bee67c5c3f8",
+            "b052fe3cbc31c3c3d882e9cc5406b68945ebc68ac68f2e6807e7fa4ce8ca48ee",
+        ),
+        "zero_plus_zero": (
+            "615dbbd1095fe69e3de04bb64075769df2d7205638cf314741269b2ae26c624b",
+            "4f9a9d46548f256e840f495e4714ecdd5cca42779c481ab2173105ed1c847ffc",
+        ),
+    },
+}
+
+
+def _sha(codes):
+    return hashlib.sha256(",".join(format(c, "x") for c in codes).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("config", [MEND_PAIR, COMPACT_PAIR])
+def test_corpus_proof_codes_are_pinned(corpus, config):
+    golden = GOLDEN_PROOF_CODES[config.scheme]
+    assert sorted(golden) == sorted(corpus)
+    for name, proof in corpus.items():
+        assert (_sha([encode_proof(proof, config)]), _sha(_line_codes(proof, config))) \
+            == golden[name], name
 
 
 def test_encode_proof_prime_is_infeasible_for_corpus(corpus):
