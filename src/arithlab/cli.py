@@ -35,8 +35,11 @@ def _config(args):
 
 
 def _read_file(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except ValueError as e:  # a NUL in the name, or bytes that are not UTF-8
+        raise _ArgError(f"cannot read {path!r}: {e}") from None
 
 
 class _ArgError(ArithlabError):
@@ -145,17 +148,17 @@ def cmd_diag(args) -> int:
 def cmd_represent(args) -> int:
     from . import primrec
     if args.bound < 0:
-        return _fail(f"--bound must be nonnegative, got {args.bound}")
+        raise _ArgError(f"--bound must be nonnegative, got {args.bound}")
     func = primrec.parse_pr(args.function)
     if args.check is not None:
         try:
             arg_values = tuple(int(tok) for tok in args.check.split(","))
         except ValueError:
-            return _fail(f"--check takes comma-separated integers, got {args.check!r}")
+            raise _ArgError(f"--check takes comma-separated integers, got {args.check!r}")
         if len(arg_values) != func.arity:
-            return _fail(f"--check needs {func.arity} value(s), got {len(arg_values)}")
+            raise _ArgError(f"--check needs {func.arity} value(s), got {len(arg_values)}")
         if any(a < 0 for a in arg_values):
-            return _fail(f"--check values must be nonnegative, got {args.check!r}")
+            raise _ArgError(f"--check values must be nonnegative, got {args.check!r}")
     rep = primrec.represent(func)
     print(f"arity {func.arity}")
     print(
@@ -218,7 +221,7 @@ def cmd_chain(args) -> int:
 def cmd_metacheck(args) -> int:
     from . import models
     if args.size < 1:
-        return _fail(f"--size must be at least 1, got {args.size}")
+        raise _ArgError(f"--size must be at least 1, got {args.size}")
     budget: int | str
     if args.budget == "full":
         budget = "full"
@@ -226,10 +229,10 @@ def cmd_metacheck(args) -> int:
         try:
             budget = int(args.budget)
         except ValueError:
-            return _fail(f"--budget takes an integer or 'full', got {args.budget!r}")
+            raise _ArgError(f"--budget takes an integer or 'full', got {args.budget!r}")
     families = tuple(tok for tok in args.families.split(",") if tok)
     if not families:
-        return _fail(f"--families names no family, got {args.families!r}")
+        raise _ArgError(f"--families names no family, got {args.families!r}")
     report = models.metacheck(
         args.size, families, _MODE_NAMES[args.mode], budget, args.eq
     )

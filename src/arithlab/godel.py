@@ -503,7 +503,13 @@ def _chunks(code: int) -> list[str]:
     return chunks
 
 
-def _encode_pairing_sequence(values: list[int]) -> int:
+# --------------------------------------------------------------------------
+# sequence codes: the one place that picks prime or pairing
+
+
+def _encode_sequence(values: list[int], config: NumberingConfig) -> int:
+    if config.seq == "prime":
+        return _encode_prime_sequence(values)
     parts = ["1"]
     for value in values:
         if value < 1:
@@ -512,24 +518,10 @@ def _encode_pairing_sequence(values: list[int]) -> int:
     return int("".join(parts), 2)
 
 
-def _decode_pairing_sequence(code: int) -> list[int]:
-    return [int(chunk, 2) for chunk in _chunks(code)]
-
-
-# --------------------------------------------------------------------------
-# sequence codes: the one place that picks prime or pairing
-
-
-def _encode_sequence(values: list[int], config: NumberingConfig) -> int:
-    if config.seq == "prime":
-        return _encode_prime_sequence(values)
-    return _encode_pairing_sequence(values)
-
-
 def _decode_sequence(code: int, config: NumberingConfig) -> list[int]:
     if config.seq == "prime":
         return _decode_prime_sequence(code)
-    return _decode_pairing_sequence(code)
+    return [int(chunk, 2) for chunk in _chunks(code)]
 
 
 # --------------------------------------------------------------------------

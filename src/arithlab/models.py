@@ -23,25 +23,25 @@ for: it enumerates small interpretations and evaluates pinned instance
 families, reporting every (interpretation, instance) pair on which an
 expected law breaks.
 
-Each family in LAWS is a tuple of cases, one per pinned item.  A case
-reads only a few cells of a model (zero, succ[a], add[a][b], mul[a][b],
-eq[a][b]), so while metacheck sweeps the cells of one size it runs each
-case once per distinct reading of the cells it looks at, and keeps the
-result at a leaf of a decision trie keyed by those cells.  The leaf
-stands for every model that agrees on those cells, and those models
-reuse its result.  Reports and budgets are the same as if every case ran
-on every model; the sweep builds an Interpretation only for a model that
-a violation names.  A case reads zero only for 0, a numeral or an
-unassigned variable, and succ only at the values its successor steps
-pass, so its leaves stay few.
+Each family in LAWS is a tuple of cases, one per pinned item, parsed
+from text at import; the thirty items of the collapse family are
+COLLAPSE_CASES.  A case reads only a few cells of a model (zero,
+succ[a], add[a][b], mul[a][b], eq[a][b]), so while metacheck sweeps the
+cells of one size it runs each case once per distinct reading of the
+cells it looks at, and keeps the result at a leaf of a decision trie
+keyed by those cells.  The leaf stands for every model that agrees on
+those cells, and those models reuse its result.  Reports and budgets
+are the same as if every case ran on every model; the sweep builds an
+Interpretation only for a model that a violation names.  A case reads
+zero only for 0, a numeral or an unassigned variable, and succ only at
+the values its successor steps pass, so its leaves stay few.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .syntax import (
     Add,
@@ -137,18 +137,14 @@ def normal_interpretation(
     mul: tuple[tuple[int, ...], ...],
 ) -> Interpretation:
     """Interpretation with equality read as identity."""
-    eq = identity_eq(size)
-    return Interpretation(size, zero, tuple(succ), _freeze(add), _freeze(mul), eq)
+    add, mul = tuple(map(tuple, add)), tuple(map(tuple, mul))
+    return Interpretation(size, zero, tuple(succ), add, mul, identity_eq(size))
 
 
 def identity_eq(size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(1 if a == b else 0 for b in range(size)) for a in range(size)
     )
-
-
-def _freeze(table) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(row) for row in table)
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +470,11 @@ def _congruence_test(size: int):
 
 
 def random_interpretation(
-    rng: random.Random, size: int, eq_tables: str = "identity"
+    rng, size: int, eq_tables: str = "identity"
 ) -> Interpretation:
-    """One random interpretation; with "congruent" the equality table is
-    sampled from the congruences of the drawn algebra."""
+    """One random interpretation drawn with rng, a random.Random; with
+    "congruent" the equality table is sampled from the congruences of the
+    drawn algebra."""
     eqs = _eq_tables(size, eq_tables)
     # one draw a cell: succ, the rows of add and mul, then zero last
     *ops, zero = (rng.randrange(size) for _ in range(_algebra_cells(size)))
@@ -595,47 +592,47 @@ CHAIN_CASES: tuple[tuple[int, Formula], ...] = (
 )
 
 
-_COLLAPSE_ITEMS = 30  # known before collapse_suite draws them
+# the quantifier-collapse law: thirty (variable, body) pairs, one a line,
+# drawn once from a seeded random formula generator and pinned as text
+COLLAPSE_CASES: tuple[tuple[int, Formula], ...] = tuple(
+    (int(line[0]), _fml(line[2:])) for line in """\
+2 ((~(S((x3 + x1)) = S(S(x3))) -> (S((x3 + S(0))) = x1)) -> forall x1 . (((x3 + x2) * (x1 * x1)) = x3))
+2 forall x3 . ((S((x1 * x1)) = 0) -> forall x2 . (S(x1) = S((x1 + x1))))
+1 (~~(S(x1) = x1) -> (((S(S(x3)) = (S(x1) + 0)) -> ((x3 + x1) = ((0 * 0) + S(S(0))))) -> forall x3 . (((x3 * x3) * x1) = (x2 + (S(0) * x1)))))
+2 ~(((x1 * 0) * x3) = (S(x2) * 0))
+2 ((x2 + (x1 + x1)) = x1)
+2 ((((x3 + x1) = x1) -> (x2 = (x1 + S(x1)))) -> forall x1 . ((x3 * x1) = (S(x1) * (x1 * x1))))
+1 (((x2 * x1) * (x1 + S(0))) = (x3 * x1))
+1 (forall x3 . (x1 = x2) -> (S(0) = S(S(x1))))
+2 (S(0) = x2)
+1 (((x2 + x1) * S(x2)) = ((S(0) * x1) + (x1 + x1)))
+1 ((S(0) * (S(0) + x3)) = (S(0) * (x3 + x1)))
+1 ((S(x1) + S(x1)) = (S(0) + S(x2)))
+2 (x1 = (S(S(0)) + S(x1)))
+1 forall x3 . (x1 = ((x2 + x1) + S(0)))
+1 (x1 = S(0))
+2 forall x3 . (((0 * x1) + (x3 * x1)) = x2)
+2 forall x2 . forall x2 . ~(((x1 + x2) + (x2 + x3)) = (x3 * x2))
+2 forall x3 . (S(S(x1)) = ((S(0) * S(0)) * S(S(0))))
+1 ~((((x1 * (x1 + x3)) = S((x3 + x1))) -> (S(S(x3)) = S((x2 * x2)))) -> forall x1 . (x2 = ((x2 * x1) * x3)))
+1 forall x3 . ((x3 * S(x2)) = ((x2 + 0) * S(0)))
+2 ~((S(S(0)) + 0) = ((x3 * 0) * (0 + x2)))
+1 ((S(x3) * (S(0) * x1)) = x2)
+1 (S(x1) = (x3 * (S(0) * x1)))
+2 (S((x3 * x3)) = x3)
+1 forall x3 . forall x3 . (x1 = (S(x1) + S(x2)))
+1 ~((0 + (0 + 0)) = ((S(0) * x1) * S(x1)))
+2 ~forall x2 . ((S(S(x1)) = S((S(0) * 0))) -> (((S(0) + x3) + (x2 * x2)) = S(x1)))
+2 ((x3 = 0) -> ~(x1 = S(x1)))
+1 forall x2 . (S((x1 * x1)) = 0)
+1 (((x1 * x1) + x1) = x3)
+""".splitlines()
+)
 
 
-@lru_cache(maxsize=1)
 def collapse_suite() -> tuple[tuple[int, Formula], ...]:
-    """Thirty pinned (variable, body) pairs for the quantifier-collapse
-    law, drawn once from a fixed seed."""
-    rng = random.Random(471127)
-    out = []
-    for _ in range(_COLLAPSE_ITEMS):
-        x = rng.choice((1, 2))
-        out.append((x, _random_formula(rng, depth=3)))
-    return tuple(out)
-
-
-def _random_term(rng: random.Random, depth: int) -> Term:
-    if depth == 0 or rng.random() < 0.3:
-        return rng.choice(
-            (Zero(), Var(1), Var(2), Var(3), Succ(Zero()), Var(1))
-        )
-    kind = rng.randrange(3)
-    if kind == 0:
-        return Succ(_random_term(rng, depth - 1))
-    left = _random_term(rng, depth - 1)
-    right = _random_term(rng, depth - 1)
-    return Add(left, right) if kind == 1 else Mul(left, right)
-
-
-def _random_formula(rng: random.Random, depth: int) -> Formula:
-    if depth == 0 or rng.random() < 0.35:
-        return Eq(_random_term(rng, 2), _random_term(rng, 2))
-    kind = rng.randrange(4)
-    if kind == 0:
-        return Not(_random_formula(rng, depth - 1))
-    if kind == 1:
-        return Implies(
-            _random_formula(rng, depth - 1), _random_formula(rng, depth - 1)
-        )
-    if kind == 2:
-        return ForAll(rng.choice((1, 2, 3)), _random_formula(rng, depth - 1))
-    return Eq(_random_term(rng, 2), _random_term(rng, 2))
+    """The thirty pinned (variable, body) pairs of the collapse family."""
+    return COLLAPSE_CASES
 
 
 # --------------------------------------------------------------------------
@@ -733,8 +730,7 @@ def _substitution_case(b, x, t, sub, fv, m, mode):
     return None
 
 
-def _collapse_case(i, m, mode):
-    x, b = collapse_suite()[i]
+def _collapse_case(x, b, m, mode):
     points = _points(m, mode)
     lhs = is_true(m, ForAll(x, b), mode)
     rhs = all(
@@ -776,8 +772,7 @@ LAWS = {
     "substitution": tuple(
         partial(_substitution_case, *case) for case in _SUBSTITUTIONS
     ),
-    # collapse_suite stays lazy: each case draws its item on first use
-    "collapse": tuple(partial(_collapse_case, i) for i in range(_COLLAPSE_ITEMS)),
+    "collapse": tuple(partial(_collapse_case, x, b) for x, b in COLLAPSE_CASES),
     "chain": tuple(partial(_chain_case, x, b) for x, b in CHAIN_CASES),
 }
 FAMILIES = tuple(LAWS)

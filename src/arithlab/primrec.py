@@ -163,11 +163,7 @@ def eval_pr(f: PRFunc, args: tuple[int, ...] | list[int]) -> int:
         inner = tuple(eval_pr(g, args) for g in f.inner)
         return eval_pr(f.outer, inner)
     if isinstance(f, Rec):
-        *xs, n = args
-        acc = eval_pr(f.base, tuple(xs))
-        for i in range(n):
-            acc = eval_pr(f.step, (*xs, i, acc))
-        return acc
+        return course_of_values(f, args[:-1], args[-1])[-1]
     raise PRError(f"not a PR function term: {f!r}")
 
 
@@ -192,23 +188,35 @@ def beta(c: int, d: int, i: int) -> int:
 def find_beta_coeffs(values: list[int], ceiling: int = 10**6) -> tuple[int, int]:
     """Smallest (d, then c) with beta(c, d, i) = values[i] for all i.
 
-    Searches d upward; for each d solves the congruences by CRT over the
-    non-coprime moduli 1 + (i+1)d.  Raises PRError when nothing fits
-    under the ceiling.
+    Searches d upward from the first d whose moduli 1 + (i+1)d exceed the
+    entries, solving the congruences by CRT, cut off once c passes the
+    ceiling.  Once d is at least the first two entries and (1 + d)(1 + 2d)
+    passes the ceiling, one candidate c is left, and it grows with d unless
+    those two are equal, so the search ends.  Raises PRError when nothing
+    fits under the ceiling.
     """
     if not values:
         raise PRError("cannot code an empty sequence")
     if any(v < 0 for v in values):
         raise PRError("sequence entries must be natural numbers")
-    for d in range(1, ceiling + 1):
-        moduli = [1 + (i + 1) * d for i in range(len(values))]
-        if any(v >= m for v, m in zip(values, moduli)):
+    start = max(1, *(-(-v // (i + 1)) for i, v in enumerate(values)))
+    tail = max(values[:2]) if len(values) > 1 else ceiling + 1
+    for d in range(start, ceiling + 1):
+        if d >= tail and (1 + d) * (1 + 2 * d) > ceiling:
+            # 2(1 + d) = 1 mod 1 + 2d, so this is the one c under the
+            # ceiling that can fit the first two entries
+            c = values[0] + 2 * (values[1] - values[0]) % (1 + 2 * d) * (1 + d)
+            fits = all(c % (1 + i * d) == v for i, v in enumerate(values[2:], 3))
+            if fits and c <= ceiling:
+                return c, d
+            if c > ceiling or values[1] == values[0]:  # no later d fits
+                break
             continue
+        moduli = [1 + (i + 1) * d for i in range(len(values))]
         c, m = values[0], moduli[0]
         for a, mod in zip(values[1:], moduli[1:]):
             g = math.gcd(m, mod)
             if (a - c) % g != 0:
-                c = None
                 break
             step = mod // g
             t = ((a - c) // g) % step
@@ -216,9 +224,9 @@ def find_beta_coeffs(values: list[int], ceiling: int = 10**6) -> tuple[int, int]
             c = c + m * t
             m = m // g * mod
             c %= m
-        if c is None:
-            continue
-        if c <= ceiling:
+            if c > ceiling:  # every later entry only raises c
+                break
+        else:
             return c, d
     raise PRError(f"no beta coefficients under {ceiling} code {values}")
 

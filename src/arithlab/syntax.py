@@ -536,14 +536,11 @@ def free_vars(e: Expr) -> frozenset[int]:
                 out.add(node.index)
         elif isinstance(node, (Zero, BigNumeral)):
             pass
-        elif isinstance(node, (Add, Mul, Eq)):
+        elif isinstance(node, (Add, Mul, Eq, Implies)):
             stack.append((node.left, bound))
             stack.append((node.right, bound))
         elif isinstance(node, Not):
             stack.append((node.body, bound))
-        elif isinstance(node, Implies):
-            stack.append((node.left, bound))
-            stack.append((node.right, bound))
         elif isinstance(node, ForAll):
             stack.append((node.body, bound | {node.index}))
         else:

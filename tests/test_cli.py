@@ -326,6 +326,49 @@ def test_missing_file_exit_code(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# every command that reads a file, with its other arguments
+FILE_COMMANDS = [
+    ("check-proof", []),
+    ("encode-proof", ["--seq", "pair"]),
+    ("eval", ["(0 = 0)"]),
+    ("image", []),
+    ("restrict", []),
+    ("chain", ["1", "(x1 = 0)"]),
+]
+
+
+@pytest.mark.parametrize("command, rest", FILE_COMMANDS,
+                         ids=[command for command, _ in FILE_COMMANDS])
+def test_a_nul_in_a_file_name_is_an_error_line(capsys, command, rest):
+    assert main([command, "\x00", *rest]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot read '\\x00': embedded null byte\n"
+
+
+def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
+    path = tmp_path / "latin1.model"
+    path.write_bytes(b"size 1\nzero \xff\n")
+    assert main(["image", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot read {str(path)!r}: 'utf-8' codec")
+    assert err.count("\n") == 1
+
+
+def test_represent_check_ends_on_an_exhausted_beta_search():
+    # a subprocess, so that a search which does not end fails the test
+    result = subprocess.run(
+        [sys.executable, "-m", "arithlab.cli", "represent", "predecessor",
+         "--check", "40"],
+        capture_output=True, text=True, timeout=20)
+    assert result.returncode == 1
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1].startswith(
+        "unknown: certificate evaluation failed: witness rule for x5 failed:"
+        " no beta coefficients under 1000000 code [0, 0, 1, 2, 3,")
+
+
 def test_bad_integer_argument(capsys):
     assert main(["decode", "notanumber"]) == 2
     assert "error:" in capsys.readouterr().err

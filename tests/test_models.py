@@ -1,5 +1,6 @@
 """Finite interpretations, two satisfaction modes, the divergence search."""
 
+import hashlib
 import itertools
 import random
 from functools import partial
@@ -445,6 +446,18 @@ def test_collapse_suite_is_pinned():
     assert collapse_suite() is suite       # cached, not rebuilt
     for var, f in suite:
         assert var in (1, 2)
+
+
+def test_collapse_suite_text_is_pinned():
+    text = "".join(f"{x} {to_text(b)}\n" for x, b in collapse_suite())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fb2e3b11d0d6b49a1fbd348e9a9c4f4901e9642d5a51b332284c79a89f62c7ac")
+
+
+def test_every_law_family_keeps_its_case_count():
+    assert {family: len(cases) for family, cases in LAWS.items()} == {
+        "A1": 3, "A2": 2, "A3": 2, "A4": 5, "A5": 3, "rules": 6,
+        "duality": 3, "substitution": 4, "collapse": 30, "chain": 3}
 
 
 # ------------------------------------------------------ metacheck's memo

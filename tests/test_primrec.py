@@ -2,6 +2,8 @@
 
 import hashlib
 import itertools
+import math
+import random
 
 import pytest
 
@@ -114,6 +116,54 @@ def test_find_beta_coeffs_exhaustion():
         find_beta_coeffs([0, 0, 1, 2, 3, 4], ceiling=1000)
     with pytest.raises(PRError):
         find_beta_coeffs([1, 1, 2, 3, 5, 8], ceiling=10**5)
+
+
+def _scan_beta_coeffs(values, ceiling):
+    """The search as a scan of every d from 1 to the ceiling: the
+    reference for find_beta_coeffs, which stops early."""
+    for d in range(1, ceiling + 1):
+        moduli = [1 + (i + 1) * d for i in range(len(values))]
+        if any(v >= m for v, m in zip(values, moduli)):
+            continue
+        c, m = values[0], moduli[0]
+        for a, mod in zip(values[1:], moduli[1:]):
+            g = math.gcd(m, mod)
+            if (a - c) % g != 0:
+                c = None
+                break
+            step = mod // g
+            t = ((a - c) // g) % step
+            t = (t * pow(m // g, -1, step)) % step
+            c = c + m * t
+            m = m // g * mod
+            c %= m
+        if c is None:
+            continue
+        if c <= ceiling:
+            return c, d
+    raise PRError(f"no beta coefficients under {ceiling} code {values}")
+
+
+def _beta_outcome(search, values, ceiling):
+    try:
+        return search(values, ceiling)
+    except PRError as e:
+        return str(e)
+
+
+def test_find_beta_coeffs_matches_the_full_scan():
+    rng = random.Random(2718)
+    outcomes = []
+    for k in range(4000):
+        top = rng.choice((2, 5, 10, 40, 200))
+        values = [rng.randint(0, top) for _ in range(rng.randint(1, 6))]
+        # the scan walks every d up to the ceiling, so most ceilings are
+        # small; every hundredth case reaches 20,000
+        ceiling = rng.randint(0, 20000 if k % 100 == 0 else 300)
+        expected = _beta_outcome(_scan_beta_coeffs, values, ceiling)
+        assert _beta_outcome(find_beta_coeffs, values, ceiling) == expected
+        outcomes.append(isinstance(expected, tuple))
+    assert 1000 < sum(outcomes) < 3000  # both answers are well represented
 
 
 # -------------------------------------------------------- representation
