@@ -2,7 +2,9 @@
 
 A PR function is a term over zero, succ, projections, composition and
 primitive recursion (no minimisation); each term stores its arity when it
-is made, so terms of any depth can be built.  eval_pr computes values,
+is made, so terms of any depth can be built.  Terms are equal when spelled
+alike by format_pr, which is also their hash and repr; it and parse_pr keep
+explicit stacks, so any depth prints and reads back.  eval_pr computes values,
 and represent builds a formula that defines the function's graph inside
 the theory: inputs sit at x1..xn, the output at x(n+1), and every
 internal variable is a fresh higher index bound by a quantifier.
@@ -55,6 +57,7 @@ from .syntax import (
     Zero,
     conj,
     exists,
+    spell,
 )
 
 
@@ -67,31 +70,36 @@ class CertEvalError(ArithlabError):
 
 
 class PRFunc:
-    """Base class for PR function terms."""
+    """Base class for PR function terms: equal when spelled alike."""
 
     __slots__ = ()
 
     arity: int
 
-    def __str__(self) -> str:
-        return format_pr(self)
+    def __eq__(self, other):
+        if not isinstance(other, PRFunc):
+            return NotImplemented
+        return spell(self, _FORMAT) == spell(other, _FORMAT)
+
+    __hash__ = lambda self: hash(tuple(spell(self, _FORMAT)))
+    __repr__ = __str__ = lambda self: format_pr(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ZeroFn(PRFunc):
     """The constantly-zero unary function."""
 
     arity = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SuccFn(PRFunc):
     """The successor function."""
 
     arity = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Proj(PRFunc):
     """Projection of the i-th of n arguments (1-based)."""
 
@@ -104,7 +112,7 @@ class Proj(PRFunc):
         object.__setattr__(self, "arity", self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Comp(PRFunc):
     """Composition outer(inner_1(args), ..., inner_k(args))."""
 
@@ -126,7 +134,7 @@ class Comp(PRFunc):
         object.__setattr__(self, "arity", self.inner[0].arity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Rec(PRFunc):
     """Primitive recursion.
 
@@ -163,18 +171,22 @@ def eval_pr(f: PRFunc, args: tuple[int, ...] | list[int]) -> int:
         inner = tuple(eval_pr(g, args) for g in f.inner)
         return eval_pr(f.outer, inner)
     if isinstance(f, Rec):
-        return course_of_values(f, args[:-1], args[-1])[-1]
-    raise PRError(f"not a PR function term: {f!r}")
+        return functools.reduce(lambda _, v: v, _steps(f, args[:-1], args[-1]))
+    raise PRError(f"not a PR function term: {f.__class__.__name__}")
+
+
+def _steps(f: Rec, xs: tuple[int, ...], n: int):
+    """f(xs, 0), ..., f(xs, n), one at a time: eval_pr keeps only the last."""
+    acc = eval_pr(f.base, xs)
+    yield acc
+    for i in range(n):
+        acc = eval_pr(f.step, (*xs, i, acc))
+        yield acc
 
 
 def course_of_values(f: Rec, xs: tuple[int, ...], n: int) -> list[int]:
     """[f(xs, 0), f(xs, 1), ..., f(xs, n)] computed in one sweep."""
-    acc = eval_pr(f.base, xs)
-    out = [acc]
-    for i in range(n):
-        acc = eval_pr(f.step, (*xs, i, acc))
-        out.append(acc)
-    return out
+    return list(_steps(f, xs, n))
 
 
 # --------------------------------------------------------------------------
@@ -327,7 +339,7 @@ class _Builder:
             return body
         if isinstance(f, Rec):
             return self._build_rec(f, inputs, output)
-        raise PRError(f"not a PR function term: {f!r}")
+        raise PRError(f"not a PR function term: {f.__class__.__name__}")
 
     def _build_rec(self, f: Rec, inputs: tuple[int, ...], output: int) -> Formula:
         xs = inputs[:-1]
@@ -498,14 +510,10 @@ def check_representation(
 # catalog and the s-expression syntax
 
 
-def _pd2() -> PRFunc:
-    # helper g(x, 0) = 0, g(x, n+1) = n; predecessor ignores the first slot
-    return Rec(ZeroFn(), Proj(3, 2))
-
-
 ADDITION = Rec(Proj(1, 1), Comp(SuccFn(), (Proj(3, 3),)))
 MULTIPLICATION = Rec(ZeroFn(), Comp(ADDITION, (Proj(3, 3), Proj(3, 1))))
-PREDECESSOR = Comp(_pd2(), (Proj(1, 1), Proj(1, 1)))
+# through g(x, 0) = 0, g(x, n+1) = n, whose first slot predecessor ignores
+PREDECESSOR = Comp(Rec(ZeroFn(), Proj(3, 2)), (Proj(1, 1), Proj(1, 1)))
 TRUNCATED_SUBTRACTION = Rec(Proj(1, 1), Comp(PREDECESSOR, (Proj(3, 3),)))
 
 CATALOG: dict[str, PRFunc] = {
@@ -516,67 +524,65 @@ CATALOG: dict[str, PRFunc] = {
 }
 
 
+# the spelling of format_pr, ==, hash and repr; a Proj's numbers stay ints
+_FORMAT = {
+    ZeroFn: lambda f, out: out.append("zero"),
+    SuccFn: lambda f, out: out.append("succ"),
+    Proj: lambda f, out: out.extend(("(proj ", f.n, " ", f.i, ")")),
+    Comp: lambda f, out: [
+        ")", *(x for g in f.inner[::-1] for x in (g, " ")), f.outer, "(comp "
+    ],
+    Rec: lambda f, out: [")", f.step, " ", f.base, "(rec "],
+}
+
+
 def format_pr(f: PRFunc) -> str:
-    if isinstance(f, ZeroFn):
-        return "zero"
-    if isinstance(f, SuccFn):
-        return "succ"
-    if isinstance(f, Proj):
-        return f"(proj {f.n} {f.i})"
-    if isinstance(f, Comp):
-        inner = " ".join(format_pr(g) for g in f.inner)
-        return f"(comp {format_pr(f.outer)} {inner})"
-    if isinstance(f, Rec):
-        return f"(rec {format_pr(f.base)} {format_pr(f.step)})"
-    raise PRError(f"not a PR function term: {f!r}")
+    return "".join(map(str, spell(f, _FORMAT)))
 
 
 def parse_pr(text: str) -> PRFunc:
     """Parse the s-expression syntax: zero, succ, (proj n i), (comp f g...),
-    (rec base step), or a catalog name."""
+    (rec base step), or a catalog name, with one stack of open forms: each
+    head comes right after its '(', and a comp or rec is built at its ')'."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise PRError("empty PR function text")
-    f, rest = _parse_pr_tokens(tokens, 0)
-    if rest != len(tokens):
-        raise PRError("trailing input after a complete PR function")
-    return f
-
-
-def _parse_pr_tokens(tokens: list[str], i: int) -> tuple[PRFunc, int]:
-    tok = tokens[i]
-    if tok == "zero":
-        return ZeroFn(), i + 1
-    if tok == "succ":
-        return SuccFn(), i + 1
-    if tok in CATALOG:
-        return CATALOG[tok], i + 1
-    if tok != "(":
-        raise PRError(f"unexpected token {tok!r}")
-    if i + 1 >= len(tokens):
-        raise PRError("unclosed '('")
-    head = tokens[i + 1]
-    i += 2
-    if head == "proj":
-        try:
-            n, k = int(tokens[i]), int(tokens[i + 1])
-        except (IndexError, ValueError):
-            raise PRError("proj needs two integers") from None
-        if tokens[i + 2 : i + 3] != [")"]:
-            raise PRError("proj takes exactly two integers")
-        return Proj(n, k), i + 3
-    if head in ("comp", "rec"):
-        parts = []
-        while i < len(tokens) and tokens[i] != ")":
-            part, i = _parse_pr_tokens(tokens, i)
-            parts.append(part)
-        if i >= len(tokens):
+    atoms = {"zero": ZeroFn(), "succ": SuccFn(), **CATALOG}
+    opened: list[list] = []  # each open comp or rec: its head, then its parts
+    i = 0
+    while True:
+        if i == len(tokens):
             raise PRError("unclosed '('")
-        if head == "comp":
-            if len(parts) < 2:
+        tok, i = tokens[i], i + 1
+        if tok == ")" and opened:
+            head, *parts = opened.pop()
+            if head == "rec" and len(parts) != 2:
+                raise PRError("rec needs exactly a base and a step")
+            if head == "comp" and len(parts) < 2:
                 raise PRError("comp needs an outer function and inner functions")
-            return Comp(parts[0], tuple(parts[1:])), i + 1
-        if len(parts) != 2:
-            raise PRError("rec needs exactly a base and a step")
-        return Rec(parts[0], parts[1]), i + 1
-    raise PRError(f"unknown form {head!r}")
+            f = Rec(*parts) if head == "rec" else Comp(parts[0], tuple(parts[1:]))
+        elif tok in atoms:
+            f = atoms[tok]
+        elif tok != "(":
+            raise PRError(f"unexpected token {tok!r}")
+        elif i == len(tokens):
+            raise PRError("unclosed '('")
+        elif tokens[i] in ("comp", "rec"):
+            opened.append([tokens[i]])
+            i += 1
+            continue
+        elif tokens[i] == "proj":
+            try:
+                n, k = int(tokens[i + 1]), int(tokens[i + 2])
+            except (IndexError, ValueError):
+                raise PRError("proj needs two integers") from None
+            if tokens[i + 3 : i + 4] != [")"]:
+                raise PRError("proj takes exactly two integers")
+            f, i = Proj(n, k), i + 4
+        else:
+            raise PRError(f"unknown form {tokens[i]!r}")
+        if not opened:
+            if i != len(tokens):
+                raise PRError("trailing input after a complete PR function")
+            return f
+        opened[-1].append(f)

@@ -20,12 +20,12 @@ operators, so parse(to_text(e)) == e for every tree the library builds.
 num(n) is a compact numeral: it stands for n nested applications of S to 0
 without materialising them.  num(0) is interchangeable with 0 everywhere.
 
-Printing, keys, official symbol strings and every rebuild of a tree go
-through spell, one explicit-stack traversal; the parsers, free_vars and ==
-keep explicit stacks too.  So nesting depth is bounded by memory, never by
-Python's recursion limit.  Two flat keys are spelled by spell and cached on
-the node asked for them: to_text, and canonical_key, the same spelling with
-every numeral written num(n), which decides semantic_eq and gives the hash.
+Printing, keys, ==, official symbol strings and every rebuild of a tree go
+through spell, one explicit-stack traversal, and the parsers and free_vars
+keep explicit stacks too, so nesting depth is bounded by memory, never by
+Python's recursion limit.  == compares spellings: the printed one, with each
+index and numeral value an int piece.  Two keys are cached on a node: to_text,
+and canonical_key, with every numeral num(n), for semantic_eq and the hash.
 substitute carries the open binders of the replacement's variables along
 its one walk, so it takes time linear in the nesting depth.
 
@@ -47,22 +47,7 @@ class _Node:
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        # Field by field in lockstep, with a stack: this stops at the
-        # first difference and needs no spelling of fresh nodes.
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if a.__class__ is not b.__class__:
-                return False
-            for name in a.__slots__:
-                x, y = getattr(a, name), getattr(b, name)
-                if isinstance(x, _Node):
-                    pairs.append((x, y))
-                elif x != y:
-                    return False
-        return True
+        return spell(self, _SAME) == spell(other, _SAME)
 
     def __hash__(self) -> int:
         return hash(canonical_key(self))
@@ -229,7 +214,8 @@ class CaptureError(SyntaxToolError, Refusal):
 
 
 def spell(e: Expr, table: dict) -> list:
-    """What e spells under table, in order, by one explicit-stack walk.
+    """What e, a term, a formula or a root whose class table names, spells
+    under table, in order, by one explicit-stack walk.
 
     table maps a class to a function entry(item, out), which appends to
     out what comes before the item's first child and returns the rest:
@@ -237,7 +223,7 @@ def spell(e: Expr, table: dict) -> list:
     entry peels a whole chain in a loop.  An item whose class the table
     leaves out is a piece, emitted as is.  Depth is bounded by memory.
     """
-    if not isinstance(e, _Node):
+    if not isinstance(e, _Node) and e.__class__ not in table:
         raise TypeError(f"not a term or formula: {e!r}")
     out: list = []
     emit = out.append
@@ -314,6 +300,14 @@ _TEXT = {
     Not: _not_text,
     Implies: _infix(" -> "),
     ForAll: _forall_text,
+}
+# == compares these spellings: S(0) is not num(1), and an index or a
+# numeral value is an int piece, so no digit limit applies
+_SAME = {
+    **_TEXT,
+    Var: lambda e, out: out.extend(("x", e.index)),
+    BigNumeral: lambda e, out: out.extend(("num(", e.value, ")")),
+    ForAll: lambda e, out: [e.body, " . ", e.index, "forall x"],
 }
 _CANON = {
     **_TEXT,

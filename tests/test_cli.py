@@ -266,6 +266,16 @@ def test_metacheck_reports_a_library_error_on_one_line(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["num", "--", "-1"], "n must be nonnegative"),
+    (["metacheck", "--size", "1", "--budget", "x"],
+     "--budget takes an integer or 'full', got 'x'"),
+])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["metacheck", "--size", "0"],
     ["metacheck", "--size", "-2"],

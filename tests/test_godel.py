@@ -669,3 +669,35 @@ def test_encode_proof_prime_is_infeasible_for_corpus(corpus):
     # exponent towers over proof codes blow past the bit guard
     with pytest.raises(InfeasibleMagnitudeError):
         encode_proof(corpus["one_plus_one"], MEND_PRIME)
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda: meta_neg(encode_expr(parse_term("S(0)"))), NotACodeError,
+         "not a formula code"),
+        (lambda: meta_sub(encode_expr(parse_formula("(x1 = 0)")),
+                          encode_expr(parse_term("0")), sym_code(ZERO_CONST)),
+         NotACodeError, "15 is not a variable symbol code"),
+        (lambda: meta_sub(encode_expr(parse_formula("(x1 = 0)")),
+                          encode_expr(parse_formula("(0 = 0)")), variable_code(1)),
+         NotACodeError, "substituent is not a term code"),
+        (lambda: encode_expr(Var(600), MEND_PRIME), InfeasibleMagnitudeError,
+         "sequence entry 4813 as an exponent would exceed the 4096-bit guard"),
+        (lambda: decode_expr(1, MEND_PRIME), NotACodeError, "no valid factorisation shape"),
+        (lambda: godel._encode_sequence([0], MEND_PAIR), NotACodeError,
+         "sequence entries must be positive"),
+    ],
+)
+def test_code_errors(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_a_code_past_the_prime_cap_is_not_a_code(monkeypatch):
+    # at the real cap the code would be the product of 10001 primes
+    monkeypatch.setattr(godel, "_MAX_PRIMES", 3)
+    with pytest.raises(NotACodeError) as exc:
+        decode_expr(2 * 3 * 5 * 7, MEND_PRIME)
+    assert str(exc.value) == "sequence uses more primes than supported"

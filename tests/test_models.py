@@ -594,3 +594,38 @@ def test_equivalences_are_the_transitive_tables_in_bit_order(size):
     ]
     assert len(expected) == (1, 2, 5)[size - 1]
     assert _equivalences(size) == expected
+
+
+# Each named-error site of the model validators and the model file reader,
+# with the message it gives.
+_OK = ((0, 0), (0, 0))
+_ID2 = ((1, 0), (0, 1))
+_GOOD = "size 2\nzero 0\nsucc 1 0\nadd 0 0 / 0 0\nmul 0 0 / 0 0\neq identity\n"
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Interpretation(2, 0, (1, 0), ((0, 0),), _OK, _ID2),
+         "add must be a total 2x2 table"),
+        (lambda: Interpretation(2, 0, (1, 0), _OK, ((0, 2), (0, 0)), _ID2),
+         "mul must be a total 2x2 table"),
+        (lambda: Interpretation(2, 0, (1, 0), _OK, _OK, ((1, 2), (0, 1))),
+         "eq must be a 2x2 table of 0/1"),
+        (lambda: parse_interpretation(_GOOD.replace("zero 0", "zero z")),
+         "field 'zero': bad number 'z'"),
+        (lambda: parse_interpretation(_GOOD.replace("size 2", "size 2 2")),
+         "size and zero take a single number"),
+        (lambda: parse_interpretation(_GOOD.replace("size 2", "size 0")),
+         "domain must have at least one element"),
+        (lambda: parse_interpretation(_GOOD.replace("add 0 0 / 0 0", "add 0 0 0")),
+         "field 'add': expected 4 entries, got 3"),
+        (lambda: parse_interpretation(_GOOD.replace("succ 1 0", "succ 1")),
+         "field 'succ': expected 2 entries"),
+    ],
+)
+def test_model_shape_errors(make, message):
+    assert parse_interpretation(_GOOD).size == 2
+    with pytest.raises(ModelError) as exc:
+        make()
+    assert str(exc.value) == message

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,8 +15,10 @@ from arithlab.primrec import (
     MULTIPLICATION,
     PREDECESSOR,
     TRUNCATED_SUBTRACTION,
+    CertEvalError,
     Comp,
     PRError,
+    PRFunc,
     Proj,
     Rec,
     SuccFn,
@@ -30,6 +33,7 @@ from arithlab.primrec import (
     format_pr,
     parse_pr,
     represent,
+    term_value_env,
 )
 from arithlab.syntax import (
     Eq,
@@ -89,6 +93,56 @@ def test_arity_validation():
 def test_course_of_values():
     assert course_of_values(ADDITION, (2,), 3) == [2, 3, 4, 5]
     assert course_of_values(MULTIPLICATION, (3,), 4) == [0, 3, 6, 9, 12]
+
+
+def test_rec_evaluates_in_constant_memory():
+    # the course of values of 20000 steps would hold 20000 ints
+    tracemalloc.start()
+    try:
+        assert eval_pr(ADDITION, (1000, 20000)) == 21000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+class _Nullary(PRFunc):
+    arity = 0
+
+
+class _Unary(PRFunc):
+    arity = 1
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Comp(_Nullary(), ()), "composition needs at least one inner function"),
+        (lambda: Rec(ZeroFn(), Proj(2, 1)),
+         "recursion step has arity 2, needs base arity + 2 = 3"),
+        (lambda: eval_pr(ADDITION, (1, -1)), "arguments must be natural numbers"),
+        (lambda: find_beta_coeffs([]), "cannot code an empty sequence"),
+        (lambda: find_beta_coeffs([1, -2]), "sequence entries must be natural numbers"),
+    ],
+)
+def test_term_and_evaluation_errors(make, message):
+    with pytest.raises(PRError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
+def test_an_unknown_term_class_is_named_not_printed():
+    # format_pr has no spelling for it, so the error names its class
+    for call in (lambda f: eval_pr(f, (1,)), represent):
+        with pytest.raises(PRError) as exc:
+            call(_Unary())
+        assert str(exc.value) == "not a PR function term: _Unary"
+
+
+def test_term_value_env_refuses_a_formula():
+    with pytest.raises(CertEvalError) as exc:
+        term_value_env(Eq(Zero(), Zero()), {})
+    assert str(exc.value) == "cannot value term <Eq (num(0) = num(0))>"
 
 
 # ------------------------------------------------------------ beta coding
@@ -355,3 +409,57 @@ def test_parse_errors():
                  "(proj one two)", "(zero", ""):
         with pytest.raises(PRError):
             parse_pr(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty PR function text"),
+        (")", "unexpected token ')'"),
+        ("(", "unclosed '('"),
+        ("(comp succ", "unclosed '('"),
+        ("(proj 1", "proj needs two integers"),
+        ("(proj 1 2 3)", "proj takes exactly two integers"),
+        ("(proj 2 3)", "bad projection (2, 3)"),
+        ("(comp succ ))", "comp needs an outer function and inner functions"),
+        ("(rec zero)", "rec needs exactly a base and a step"),
+        ("(frob zero)", "unknown form 'frob'"),
+        ("(comp succ zero) zero", "trailing input after a complete PR function"),
+        ("(comp succ (proj 1 1) (proj 1 1))",
+         "composition feeds 2 values to a function of arity 1"),
+        ("(comp addition (proj 1 1) (proj 2 1))", "inner functions must share one arity"),
+        ("(rec zero (proj 2 1))", "recursion step has arity 2, needs base arity + 2 = 3"),
+    ],
+)
+def test_parse_error_messages(text, message):
+    with pytest.raises(PRError) as exc:
+        parse_pr(text)
+    assert str(exc.value) == message
+
+
+def _succ_chain(depth):
+    f = Proj(1, 1)
+    for _ in range(depth):
+        f = Comp(SuccFn(), (f,))
+    return f
+
+
+def test_deep_terms_compare_hash_print_and_read_back():
+    # two separate 10**4-deep chains, under the default recursion limit
+    f, g = _succ_chain(10**4), _succ_chain(10**4)
+    assert f is not g
+    assert hash(f) == hash(g)
+    assert f == g and f != Comp(SuccFn(), (g,))
+    text = format_pr(f)
+    assert text == "(comp succ " * 10**4 + "(proj 1 1)" + ")" * 10**4
+    assert repr(f) == str(f) == text
+    assert parse_pr(text) == f
+
+
+def test_terms_compare_by_spelling():
+    assert Proj(2, 1) == Proj(2, 1) and Proj(2, 1) != Proj(2, 2)
+    assert ZeroFn() != SuccFn() and ZeroFn() != 0
+    assert {parse_pr("addition"): 1}[parse_pr(format_pr(ADDITION))] == 1
+    assert repr(ADDITION) == "(rec (proj 1 1) (comp succ (proj 3 3)))"
+    with pytest.raises(TypeError):
+        format_pr("zero")

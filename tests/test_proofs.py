@@ -19,6 +19,7 @@ from arithlab.proofs import (
     ProofFormatError,
     ProofLine,
     check_axiom,
+    check_line,
     check_proof,
     find_instantiation,
     format_proof,
@@ -434,3 +435,51 @@ def test_check_result_str_mentions_verdict(corpus):
     bad = check_proof(mutate_proof_line(corpus["zero_plus_zero"], 4,
                                         parse_formula("(0 = S(0))")))
     assert str(bad.line) in str(bad)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "missing justification"),
+        ("A1 3", "A1 takes no arguments"),
+        ("MP 1 x", "MP needs two line numbers"),
+        ("GEN 1", "GEN needs a line number and a variable"),
+        ("GEN 1 xy", "GEN needs a line number and a variable"),
+    ],
+)
+def test_justification_errors(text, message):
+    with pytest.raises(ProofFormatError) as exc:
+        parse_justification(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1. (0 = #) ; A1",
+         "source line 1: bad formula: unexpected character '#' (at position 5)"),
+        ("1. (0 = 0) ; MP 1", "source line 1: MP needs two line numbers"),
+    ],
+)
+def test_proof_file_errors_name_the_source_line(text, message):
+    with pytest.raises(ProofFormatError) as exc:
+        parse_proof(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "formula, justification, reason",
+    [
+        ("(0 = 0)", ModusPonens(2, 1), "MP cites line 2, which does not exist"),
+        ("forall x1 . (0 = 0)", Generalization(2, 1), "GEN cites line 2, which does not exist"),
+        ("forall x1 . (0 = 0)", Generalization(3, 1),
+         "GEN cites line 3, which is not an earlier line"),
+        ("forall x1 . (0 = 0)", Generalization(0, 1),
+         "GEN cites line 0, which is not an earlier line"),
+    ],
+)
+def test_citation_reasons(formula, justification, reason):
+    # line 1 holds a formula, line 2 none
+    earlier = {1: parse_formula("(0 = 0)")}
+    line = ProofLine(3, parse_formula(formula), justification)
+    assert check_line(earlier, line) == reason

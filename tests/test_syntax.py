@@ -336,3 +336,53 @@ def test_numerals_past_the_digit_limit_compare_and_hash(default_digit_limit):
     assert not semantic_eq(chain, numeral(big + 1))
     assert chain != numeral(big)
     assert {chain: 1}[Succ(numeral(big - 1))] == 1
+
+
+def test_equality_is_a_spelling_with_int_pieces(default_digit_limit):
+    # every index and numeral value is compared as an int, so no digit
+    # limit applies; S(0) and num(1) denote alike but are not ==
+    assert Var(10**5000) == Var(10**5000)
+    assert Var(10**5000) != Var(10**5000 + 1)
+    assert ForAll(10**5000, parse_formula("(0 = 0)")) == ForAll(
+        10**5000, parse_formula("(0 = 0)")
+    )
+    assert numeral(10**5000) == numeral(10**5000)
+    assert Succ(Zero()) != numeral(1) and semantic_eq(Succ(Zero()), numeral(1))
+    assert Zero() != numeral(0)
+    assert Var(12) != Add(Var(1), Var(2)) and Var(1) != 1
+
+
+# One case for each `raise ParseError` site in syntax: the entry point, the
+# text, the message and the position.
+PARSE_ERRORS = [
+    (parse, "(x1 = #)", "unexpected character '#'", 6),
+    (parse, "S x1", "expected '(' after S, got 'x1'", 2),
+    (parse, "forall x1 (0 = 0)", "expected '.' after quantified variable, got '('", 10),
+    (parse, "num(x1)", "expected numeral digits, got 'x1'", 4),
+    (parse, "x" + "7" * 5000, "number of 5000 digits is too long", 0),
+    (parse, "x0", "variable index must be >= 1", 0),
+    (parse, "forall x0 . (0 = 0)", "variable index must be >= 1", 7),
+    (parse, "~x1", "expected a formula, got 'x1'", 1),
+    (parse, "", "expected a term, got 'end of input'", 0),
+    (parse, "(x1 + ~(0 = 0))", "expected a term, got '~'", 6),
+    (parse, "5", "bare numeral literals other than '0' are not terms; write num(5)", 0),
+    (parse, "(x1 x2)", "expected '+', '*' or '=' after term, got 'x2'", 4),
+    (parse, "((0 = 0) (0 = 0))", "expected '->' after formula, got '('", 9),
+    (parse, "(0 + (0 = 0))", "expected a term, found a formula", 5),
+    (parse, "((0 = 0) -> (0 + 0))", "expected a formula, found a term", 12),
+    (parse, "0 0", "trailing input '0'", 2),
+    (parse_term, "(0 = 0)", "expected a term, found a formula", 0),
+    (parse_formula, "0", "expected a formula, found a term", 0),
+]
+
+
+@pytest.mark.parametrize(
+    "entry, text, message, position",
+    PARSE_ERRORS,
+    ids=[f"{entry.__name__}:{text[:24]}" for entry, text, _, _ in PARSE_ERRORS],
+)
+def test_parse_error_table(default_digit_limit, entry, text, message, position):
+    with pytest.raises(ParseError) as exc:
+        entry(text)
+    assert str(exc.value) == f"{message} (at position {position})"
+    assert exc.value.position == position
