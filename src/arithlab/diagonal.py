@@ -36,7 +36,15 @@ from .godel import (
     meta_sub,
     variable_code,
 )
-from .syntax import BigNumeral, ForAll, Formula, free_vars, numeral, substitute
+from .syntax import (
+    BigNumeral,
+    ForAll,
+    Formula,
+    NotATreeError,
+    free_vars,
+    numeral,
+    substitute,
+)
 
 ASSUMPTIONS: tuple[str, ...] = (
     "the object theory is assumed consistent",
@@ -86,7 +94,7 @@ def diagonalize(
     accepted.
     """
     if not isinstance(q_formula, Formula):
-        raise TypeError("diagonalize needs a formula")
+        raise NotATreeError("diagonalize needs a formula")
     v = variable_code(diag_var, config)
     q = encode_expr(q_formula, config)
     closed = ForAll(1, q_formula)

@@ -53,6 +53,7 @@ from .syntax import (
     Implies,
     Mul,
     Not,
+    NotATreeError,
     Refusal,
     Succ,
     Term,
@@ -309,7 +310,7 @@ def _value(m: Interpretation, t: Term, env: Assignment) -> int:
         return m.add[_value(m, t.left, env)][_value(m, t.right, env)]
     if isinstance(t, Mul):
         return m.mul[_value(m, t.left, env)][_value(m, t.right, env)]
-    raise TypeError(f"not a term: {t!r}")
+    raise NotATreeError(f"not a term: {t!r}")
 
 
 def tarski(f: Formula, env: Assignment, atom, over) -> bool:
@@ -345,7 +346,7 @@ def tarski(f: Formula, env: Assignment, atom, over) -> bool:
                 last = d
             env = {**env, x: last}
         else:
-            raise TypeError(f"not a formula: {f!r}")
+            raise NotATreeError(f"not a formula: {f!r}")
 
 
 def satisfies(

@@ -261,7 +261,7 @@ def _flatten(pattern) -> tuple[list, list]:
         read = attrgetter(path[1:]) if path else lambda f: f
         if p.__class__ is tuple:
             checks.append((read, p[0]))
-            fields = zip(p[1:], p[0].__slots__)
+            fields = zip(p[1:], p[0].__match_args__)
             stack += [(q, f"{path}.{name}") for q, name in fields]
         else:
             leaves.append((p, read))

@@ -20,6 +20,13 @@ operators, so parse(to_text(e)) == e for every tree the library builds.
 num(n) is a compact numeral: it stands for n nested applications of S to 0
 without materialising them.  num(0) is interchangeable with 0 everywhere.
 
+The node classes are frozen slotted classes written out by hand, so this
+module imports only re: __init__ sets each field once, through its slot
+descriptor, assigning or deleting a field raises AttributeError, and
+pickle and copy rebuild a node from its fields.  The parser takes its
+tokens from one regex pass; a token carries no position, so only a
+ParseError scans the text again to find where it is.
+
 Printing, keys, ==, official symbol strings and every rebuild of a tree go
 through spell, one explicit-stack traversal, and the parsers and free_vars
 keep explicit stacks too, so nesting depth is bounded by memory, never by
@@ -36,13 +43,29 @@ subclass Refusal live here because every module imports this one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class _Node:
-    """Base of terms and formulas: equal when spelled alike."""
+    """Base of terms and formulas: equal when spelled alike, and immutable.
+
+    Each class lists its fields in __match_args__, in the order its
+    __init__ takes them, and __init__ sets each once through its slot
+    descriptor.
+    """
 
     __slots__ = ("_text", "_canon")
+    __match_args__: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a node is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a node is immutable")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so pickle and copy run __init__'s checks
+        fields = self.__match_args__
+        return self.__class__, tuple([getattr(self, name) for name in fields])
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -73,73 +96,85 @@ class Formula(_Node):
     __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class _Pair(_Node):
+    """Add, Mul, Eq and Implies: a left and a right side."""
+
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left, right) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+
 class Var(Term):
-    index: int
+    __slots__ = __match_args__ = ("index",)
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise NodeValueError(f"variable index must be >= 1, got {self.index}")
+    def __init__(self, index: int) -> None:
+        if index < 1:
+            raise NodeValueError(f"variable index must be >= 1, got {index}")
+        _set_var_index(self, index)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Zero(Term):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Succ(Term):
-    arg: Term
+    __slots__ = __match_args__ = ("arg",)
+
+    def __init__(self, arg: Term) -> None:
+        _set_arg(self, arg)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Add(Term):
-    left: Term
-    right: Term
+class Add(_Pair, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Mul(Term):
-    left: Term
-    right: Term
+class Mul(_Pair, Term):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class BigNumeral(Term):
     """The numeral for n, kept as a count instead of a Succ chain."""
 
-    value: int
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self) -> None:
-        if self.value < 0:
-            raise NodeValueError(f"numeral value must be >= 0, got {self.value}")
-
-
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Eq(Formula):
-    left: Term
-    right: Term
+    def __init__(self, value: int) -> None:
+        if value < 0:
+            raise NodeValueError(f"numeral value must be >= 0, got {value}")
+        _set_value(self, value)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Eq(_Pair, Formula):
+    __slots__ = ()
+
+
 class Not(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: Formula) -> None:
+        _set_not_body(self, body)
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Pair, Formula):
+    __slots__ = ()
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class ForAll(Formula):
-    index: int
-    body: Formula
+    __slots__ = __match_args__ = ("index", "body")
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise NodeValueError(f"variable index must be >= 1, got {self.index}")
+    def __init__(self, index: int, body: Formula) -> None:
+        if index < 1:
+            raise NodeValueError(f"variable index must be >= 1, got {index}")
+        _set_forall_index(self, index)
+        _set_forall_body(self, body)
+
+
+# the slot descriptors' setters, which _Node.__setattr__ does not guard
+_set_left, _set_right = _Pair.left.__set__, _Pair.right.__set__
+_set_var_index, _set_value = Var.index.__set__, BigNumeral.value.__set__
+_set_arg, _set_not_body = Succ.arg.__set__, Not.body.__set__
+_set_forall_index, _set_forall_body = ForAll.index.__set__, ForAll.body.__set__
 
 
 Expr = Term | Formula
@@ -193,6 +228,10 @@ class NodeValueError(SyntaxToolError, ValueError):
     """A variable index below 1 or a negative numeral value."""
 
 
+class NotATreeError(SyntaxToolError, TypeError):
+    """Something that is not a term or formula where a tree is needed."""
+
+
 class NumeralLimitError(SyntaxToolError, ValueError):
     """A numeral too large to spell out as an explicit S chain."""
 
@@ -224,7 +263,7 @@ def spell(e: Expr, table: dict) -> list:
     leaves out is a piece, emitted as is.  Depth is bounded by memory.
     """
     if not isinstance(e, _Node) and e.__class__ not in table:
-        raise TypeError(f"not a term or formula: {e!r}")
+        raise NotATreeError(f"not a term or formula: {e!r}")
     out: list = []
     emit = out.append
     stack: list = [e]
@@ -348,153 +387,155 @@ def semantic_eq(a: Expr, b: Expr) -> bool:
 # --------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<arrow>->)|(?P<lpar>\()|(?P<rpar>\))|(?P<plus>\+)"
-    r"|(?P<star>\*)|(?P<eq>=)|(?P<tilde>~)|(?P<dot>\.)|(?P<amp>&)"
-    r"|(?P<bar>\|)|(?P<var>x[0-9]+)|(?P<number>[0-9]+)"
-    r"|(?P<word>[A-Za-z_][A-Za-z0-9_]*))"
-)
+# one alternation, tried in order at each token; \S takes any other
+# character, which no token starts
+_TOKEN_RE = re.compile(r"->|[()+*=~.&|]|x[0-9]+|[0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S")
 _QUANTIFIERS = {"forall": ForAll, "exists": exists}
-_TERM_OPS = {"plus": Add, "star": Mul, "eq": Eq}
-_FORMULA_OPS = {"arrow": Implies, "amp": conj, "bar": disj}
+_TERM_OPS = {"+": Add, "*": Mul, "=": Eq}
+_FORMULA_OPS = {"->": Implies, "&": conj, "|": disj}
+_DIGITS = frozenset("0123456789")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """(kind, text, position) triples, closed by an "eof" token."""
-    tokens = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(text):
-        if m.start() != pos:
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    rest = text[pos:].lstrip()
-    if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}", len(text) - len(rest))
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _located(text: str, message: str, at: int) -> ParseError:
+    """The ParseError for message at token number at of text, or for the
+    first character of text that starts no token, if there is one.  Tokens
+    carry no position, so only an error scans text again, with the same
+    regex."""
+    position = len(text)  # the end of input
+    for n, m in enumerate(_TOKEN_RE.finditer(text)):
+        token = m[0]
+        # a character the alternatives before \S do not take alone
+        if len(token) == 1 and not (token.isascii() and token.isalnum()
+                                    or token in "()+*=~.&|_"):
+            return ParseError(f"unexpected character {token!r}", m.start())
+        if n == at:
+            position = m.start()
+    return ParseError(message, position)
 
 
-def _expect(tokens: list, i: int, kind: str, what: str) -> str:
-    tok_kind, text, pos = tokens[i]
-    if tok_kind != kind:
-        raise ParseError(f"expected {what}, got {text or 'end of input'!r}", pos)
-    return text
+def _expected(what: str, text: str, tokens: list[str], i: int) -> ParseError:
+    return _located(text, f"expected {what}, got {tokens[i] or 'end of input'!r}", i)
 
 
-def _number(digits: str, pos: int) -> int:
+def _number(digits: str, text: str, i: int) -> int:
     try:
         return int(digits)
     except ValueError:  # past the interpreter's int-string digit limit
-        raise ParseError(f"number of {len(digits)} digits is too long", pos) from None
+        raise _located(text, f"number of {len(digits)} digits is too long", i) from None
 
 
-def _index(token: tuple[str, str, int]) -> int:
-    index = _number(token[1][1:], token[2])
+def _index(text: str, tokens: list[str], i: int) -> int:
+    index = _number(tokens[i][1:], text, i)
     if index < 1:
-        raise ParseError("variable index must be >= 1", token[2])
+        raise _located(text, "variable index must be >= 1", i)
     return index
 
 
 def parse(text: str) -> Expr:
     """Parse text as a term or a formula, whichever it is."""
-    tokens = _tokenize(text)
+    tokens = _TOKEN_RE.findall(text)
+    tokens.append("")  # the end of input
     i = 0
     # Constructions waiting for a value, innermost last.
     frames: list[tuple] = []
     want = "item"  # what the next value must be: "item", "term" or "formula"
     while True:
-        kind, word, pos = tokens[i]
-        if kind == "lpar":
-            frames.append(("(", want, pos))
+        token = tokens[i]
+        if token == "(":
+            frames.append(("(", want, i))
             want = "item"
             i += 1
             continue
-        if want != "term" and (kind == "tilde" or word in _QUANTIFIERS):
-            if kind == "tilde":
+        if want != "term" and (token == "~" or token in _QUANTIFIERS):
+            if token == "~":
                 frames.append(("prefix", Not))
                 i += 1
             else:
-                _expect(tokens, i + 1, "var", f"a variable after {word}")
-                index = _index(tokens[i + 1])
-                _expect(tokens, i + 2, "dot", "'.' after quantified variable")
-                frames.append(("prefix", _QUANTIFIERS[word], index))
+                var = tokens[i + 1]
+                if var[:1] != "x" or var[1:2] not in _DIGITS:
+                    raise _expected(f"a variable after {token}", text, tokens, i + 1)
+                index = _index(text, tokens, i + 1)
+                if tokens[i + 2] != ".":
+                    what = "'.' after quantified variable"
+                    raise _expected(what, text, tokens, i + 2)
+                frames.append(("prefix", _QUANTIFIERS[token], index))
                 i += 3
             want = "formula"
             continue
         if want == "formula":
-            raise ParseError(f"expected a formula, got {word or 'end of input'!r}", pos)
-        if word == "S":
+            raise _expected("a formula", text, tokens, i)
+        if token == "S":
             depth = 0
-            while tokens[i][1] == "S":
-                _expect(tokens, i + 1, "lpar", "'(' after S")
+            while tokens[i] == "S":
+                if tokens[i + 1] != "(":
+                    raise _expected("'(' after S", text, tokens, i + 1)
                 depth += 1
                 i += 2
             frames.append(("S", depth))
             want = "term"
             continue
-        if kind == "number":
-            if word != "0":
-                raise ParseError(
-                    f"bare numeral literals other than '0' are not terms; "
-                    f"write num({word})",
-                    pos,
-                )
+        if token == "0":
             value = Zero()
             i += 1
-        elif kind == "var":
-            value = Var(_index(tokens[i]))
+        elif token[:1] == "x" and token[1:2] in _DIGITS:
+            value = Var(_index(text, tokens, i))
             i += 1
-        elif word == "num":
-            _expect(tokens, i + 1, "lpar", "'(' after num")
-            digits = _expect(tokens, i + 2, "number", "numeral digits")
-            _expect(tokens, i + 3, "rpar", "')'")
-            value = BigNumeral(_number(digits, tokens[i + 2][2]))
+        elif token == "num":
+            if tokens[i + 1] != "(":
+                raise _expected("'(' after num", text, tokens, i + 1)
+            if tokens[i + 2][:1] not in _DIGITS:
+                raise _expected("numeral digits", text, tokens, i + 2)
+            if tokens[i + 3] != ")":
+                raise _expected("')'", text, tokens, i + 3)
+            value = BigNumeral(_number(tokens[i + 2], text, i + 2))
             i += 4
+        elif token[:1] in _DIGITS:
+            raise _located(
+                text,
+                f"bare numeral literals other than '0' are not terms; "
+                f"write num({token})",
+                i,
+            )
         else:
-            raise ParseError(f"expected a term, got {word or 'end of input'!r}", pos)
+            raise _expected("a term", text, tokens, i)
         # Hand the value to the waiting constructions until one needs more.
         while frames:
             frame = frames[-1]
             tag = frame[0]
             if tag == "(":
-                kind, word, pos = tokens[i]
                 ops = _TERM_OPS if isinstance(value, Term) else _FORMULA_OPS
-                if kind not in ops:
+                make = ops.get(tokens[i])
+                if make is None:
                     expected = "'+', '*' or '='" if ops is _TERM_OPS else "'->'"
                     after = "term" if ops is _TERM_OPS else "formula"
-                    raise ParseError(
-                        f"expected {expected} after {after}, "
-                        f"got {word or 'end of input'!r}",
-                        pos,
-                    )
-                frames[-1] = ("op", ops[kind], value, frame[1], frame[2])
+                    raise _expected(f"{expected} after {after}", text, tokens, i)
+                frames[-1] = ("op", make, value, frame[1], frame[2])
                 want = "term" if ops is _TERM_OPS else "formula"
                 i += 1
                 break
             if tag == "S":
                 for _ in range(frame[1]):
-                    _expect(tokens, i, "rpar", "')'")
+                    if tokens[i] != ")":
+                        raise _expected("')'", text, tokens, i)
                     value = Succ(value)
                     i += 1
             elif tag == "op":
-                _, make, first, outer, lpos = frame
-                _expect(tokens, i, "rpar", "')'")
+                _, make, first, outer, lpar = frame
+                if tokens[i] != ")":
+                    raise _expected("')'", text, tokens, i)
                 value = make(first, value)
                 i += 1
                 if outer == "term" and not isinstance(value, Term):
-                    raise ParseError("expected a term, found a formula", lpos)
+                    raise _located(text, "expected a term, found a formula", lpar)
                 if outer == "formula" and not isinstance(value, Formula):
-                    raise ParseError("expected a formula, found a term", lpos)
+                    raise _located(text, "expected a formula, found a term", lpar)
             else:
                 value = frame[1](*frame[2:], value)
             frames.pop()
         else:
             break
-    kind, word, pos = tokens[i]
-    if kind != "eof":
-        raise ParseError(f"trailing input {word!r}", pos)
+    if tokens[i]:
+        raise _located(text, f"trailing input {tokens[i]!r}", i)
     return value
 
 
@@ -530,7 +571,7 @@ def free_vars(e: Expr) -> frozenset[int]:
                 out.add(node.index)
         elif isinstance(node, (Zero, BigNumeral)):
             pass
-        elif isinstance(node, (Add, Mul, Eq, Implies)):
+        elif isinstance(node, _Pair):
             stack.append((node.left, bound))
             stack.append((node.right, bound))
         elif isinstance(node, Not):
@@ -538,7 +579,7 @@ def free_vars(e: Expr) -> frozenset[int]:
         elif isinstance(node, ForAll):
             stack.append((node.body, bound | {node.index}))
         else:
-            raise TypeError(f"not a term or formula: {node!r}")
+            raise NotATreeError(f"not a term or formula: {node!r}")
     return frozenset(out)
 
 

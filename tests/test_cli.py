@@ -392,12 +392,12 @@ def test_entry_point_runs_as_subprocess():
     assert result.stdout.strip() == str(2**15)
 
 
-def _fresh_main(argv):
+def _fresh_main(argv, roots=("arithlab",)):
     """cli.main(argv) in a fresh interpreter: its exit code, its stdout
-    and the arithlab modules loaded by the end."""
+    and the modules under the given top-level names loaded by the end."""
     script = ("import sys; from arithlab import cli; code = cli.main(); "
               "print(code, *sorted(m for m in sys.modules "
-              "if m.partition('.')[0] == 'arithlab'))")
+              f"if m.partition('.')[0] in {roots!r}))")
     result = subprocess.run([sys.executable, "-c", script, *argv],
                             capture_output=True, text=True, timeout=60)
     assert result.stderr == ""
@@ -411,6 +411,11 @@ FRONT = {"arithlab", "arithlab.cli", "arithlab.syntax"}
 
 def test_parse_loads_only_cli_and_syntax():
     assert _fresh_main(["parse", "( x1 = 0 )"]) == (0, ["(x1 = 0)"], FRONT)
+
+
+def test_parse_loads_neither_dataclasses_nor_inspect():
+    roots = ("arithlab", "dataclasses", "inspect")
+    assert _fresh_main(["parse", "( x1 = 0 )"], roots) == (0, ["(x1 = 0)"], FRONT)
 
 
 # one command per module a handler imports, with the modules it loads

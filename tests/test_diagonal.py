@@ -21,6 +21,7 @@ from arithlab.godel import (
 )
 from arithlab.corpus import build_all
 from arithlab.syntax import (
+    ArithlabError,
     BigNumeral,
     Eq,
     ForAll,
@@ -115,6 +116,11 @@ def test_long_codes_need_no_digit_limit_until_spelled():
 
 def test_diagonalize_rejects_terms():
     with pytest.raises(TypeError):
+        diagonalize(BigNumeral(3))
+
+
+def test_diagonalize_names_a_non_formula():
+    with pytest.raises(ArithlabError, match="^diagonalize needs a formula$"):
         diagonalize(BigNumeral(3))
 
 

@@ -150,6 +150,20 @@ def test_satisfies_and_is_true():
     assert not is_true(STANDARD_TWO, g)
 
 
+def test_term_value_names_a_non_term():
+    for mode in MODES:
+        with pytest.raises(ArithlabError, match="^not a term: ") as caught:
+            term_value(STANDARD_TWO, parse_formula("(0 = 0)"), {}, mode)
+        assert isinstance(caught.value, TypeError)
+
+
+def test_is_true_names_a_non_formula():
+    for mode in MODES:
+        with pytest.raises(ArithlabError, match="^not a formula: ") as caught:
+            is_true(STANDARD_TWO, parse_term("S(0)"), mode)
+        assert isinstance(caught.value, TypeError)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         is_true(STANDARD_TWO, parse_formula("(0 = 0)"), mode="sideways")

@@ -1,17 +1,24 @@
 """Terms, formulas, printing, parsing, and substitution."""
 
+import copy
+import hashlib
+import os
+import pickle
 import random
 import sys
 import time
 
 import pytest
 
+from arithlab.primrec import format_pr
 from arithlab.syntax import (
     Add,
+    ArithlabError,
     BigNumeral,
     CaptureError,
     Eq,
     ForAll,
+    Formula,
     Implies,
     Mul,
     NodeValueError,
@@ -20,8 +27,10 @@ from arithlab.syntax import (
     ParseError,
     Succ,
     SyntaxToolError,
+    Term,
     Var,
     Zero,
+    canonical_key,
     conj,
     disj,
     exists,
@@ -131,6 +140,59 @@ def test_var_and_numeral_validation():
         with pytest.raises(NodeValueError):
             make()
     assert issubclass(NodeValueError, SyntaxToolError)
+
+
+NODES = [
+    Var(3), Zero(), Succ(Var(1)), Add(Var(1), Zero()), Mul(Zero(), Var(2)),
+    BigNumeral(10**30), Eq(Var(1), Zero()), Not(Eq(Zero(), Zero())),
+    Implies(Eq(Zero(), Zero()), Eq(Var(1), Var(1))), ForAll(2, Eq(Var(2), Zero())),
+]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda node: node.__class__.__name__)
+def test_nodes_pickle_copy_and_stay_immutable(node):
+    to_text(node)  # a cached key does not travel with the node
+    for twin in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert twin == node and twin.__class__ is node.__class__
+    fields = {name: getattr(node, name) for name in node.__match_args__}
+    assert node.__class__(**fields) == node
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(node, name, value)
+        with pytest.raises(AttributeError):
+            delattr(node, name)
+        assert getattr(node, name) is value
+    with pytest.raises((AttributeError, TypeError)):
+        node.extra = 1
+    assert isinstance(node, Term) != isinstance(node, Formula)
+    assert isinstance(node, Formula) == (node.__class__ in (Eq, Not, Implies, ForAll))
+
+
+def test_node_fields_and_checks_are_as_before():
+    f = Eq(Zero(), Zero())
+    assert ForAll(index=1, body=f) == ForAll(1, f)
+    assert Implies(right=f, left=Not(f)) == Implies(Not(f), f)
+    assert [cls.__match_args__ for cls in (Var, Zero, Succ, Add, BigNumeral, Not, ForAll)] == [
+        ("index",), (), ("arg",), ("left", "right"), ("value",), ("body",), ("index", "body")]
+    for make, message in ((lambda: Var(0), "variable index must be >= 1, got 0"),
+                          (lambda: ForAll(0, f), "variable index must be >= 1, got 0"),
+                          (lambda: BigNumeral(-1), "numeral value must be >= 0, got -1")):
+        with pytest.raises(NodeValueError) as caught:
+            make()
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("spelled", [to_text, canonical_key, format_pr])
+def test_spelling_a_non_tree_is_a_named_error(spelled):
+    with pytest.raises(ArithlabError, match="^not a term or formula: 'x1'$") as caught:
+        spelled("x1")
+    assert isinstance(caught.value, TypeError)
+
+
+def test_free_vars_of_a_non_tree_is_a_named_error():
+    with pytest.raises(ArithlabError, match="^not a term or formula: 'x1'$") as caught:
+        free_vars(Not("x1"))
+    assert isinstance(caught.value, TypeError)
 
 
 def test_repr_is_not_recursive():
@@ -386,3 +448,60 @@ def test_parse_error_table(default_digit_limit, entry, text, message, position):
         entry(text)
     assert str(exc.value) == f"{message} (at position {position})"
     assert exc.value.position == position
+
+
+# Seeded corruptions of benchmark forms (perfbench/gen.py, printed by
+# perfbench/forms.py): each input is a printed term or formula with up to
+# three deletions, insertions, replacements or truncations, drawn from the
+# grammar's own pieces and from characters the tokenizer must refuse or
+# skip.  The outcome of every input, its printed tree or its ParseError
+# message and position, is pinned by one sha256.
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+import forms  # noqa: E402
+import gen  # noqa: E402
+
+NOISE = [
+    *"()+*=~.&|-> x0123456789S", "->", "S(", "num(", "forall x1 .", "exists x2 .",
+    "x", "\u00a0", "\u2028", "\x1c", "\u0661", "\ufb00", "?", "1" * 40,
+    "9" * 4300, "7" * 4301,
+]
+
+
+def corrupted_texts(rng: random.Random, count: int):
+    for _ in range(count):
+        depth = rng.randint(0, 3)
+        form = (gen.term(rng, depth, big_share=0.1) if rng.random() < 0.25
+                else gen.formula(rng, depth, big_share=0.1))
+        text = forms.text(form)
+        for _ in range(rng.randint(1, 3)):
+            at = rng.randint(0, len(text))
+            edit = rng.randrange(4)
+            if edit == 0:
+                text = text[:at] + text[at + 1:]
+            elif edit == 1:
+                text = text[:at] + rng.choice(NOISE) + text[at:]
+            elif edit == 2:
+                text = text[:at] + rng.choice(NOISE) + text[at + 1:]
+            else:
+                text = text[:at]
+        yield text
+
+
+def parse_outcome(text: str) -> tuple:
+    try:
+        return ("ok", to_text(parse(text)))
+    except ParseError as exc:
+        return (str(exc), exc.position)
+
+
+def test_parse_outcomes_of_corrupted_forms_are_pinned(default_digit_limit):
+    stray = "unexpected character '\u0661' (at position 2)"
+    assert parse_outcome("(x\u0661 = 0)") == (stray, 2)
+    assert parse_outcome("(x1\u00a0= 0)") == ("ok", "(x1 = 0)")
+    assert parse_outcome("x1\u2028") == ("ok", "x1")
+    outcomes = [parse_outcome(text)
+                for text in corrupted_texts(random.Random(1818), 2500)]
+    assert sum(outcome[0] == "ok" for outcome in outcomes) == 172
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "c68cf2272aa9721bd5777cf799085e771eae653c231efb1790d9f17414f70685"
