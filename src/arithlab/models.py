@@ -25,16 +25,19 @@ expected law breaks.
 
 Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
-COLLAPSE_CASES.  A case reads only a few cells of a model (zero,
-succ[a], add[a][b], mul[a][b], eq[a][b]), so while metacheck sweeps the
-cells of one size it runs each case once per distinct reading of the
-cells it looks at, and keeps the result at a leaf of a decision trie
-keyed by those cells.  The leaf stands for every model that agrees on
-those cells, and those models reuse its result.  Reports and budgets
-are the same as if every case ran on every model; the sweep builds an
-Interpretation only for a model that a violation names.  A case reads
-zero only for 0, a numeral or an unassigned variable, and succ only at
-the values its successor steps pass, so its leaves stay few.
+COLLAPSE_CASES.  Their closures, bodies and variable lists are prepared
+when LAWS is built, so a case run only evaluates (chain alone builds its
+numeral instances, which depend on the model).  A case reads only a few
+cells of a model (zero, succ[a], add[a][b], mul[a][b], eq[a][b]), so
+while metacheck sweeps the cells of one size it runs each case once per
+distinct reading of the cells it looks at, and keeps the result at a
+leaf of a decision trie keyed by those cells.  The leaf stands for every
+model that agrees on those cells, and those models reuse its result.
+Reports and budgets are the same as if every case ran on every model;
+the sweep builds an Interpretation only for a model that a violation
+names.  A case reads zero only for 0, a numeral or an unassigned
+variable, and succ only at the values its successor steps pass, so its
+leaves stay few.
 """
 
 from __future__ import annotations
@@ -243,6 +246,10 @@ def numeral_image(m: Interpretation) -> tuple[int, ...]:
 
 def _apply_succ(m: Interpretation, v: int, k: int) -> int:
     """succ applied k times to v, folding k along a cycle the walk met."""
+    if k <= m.size:  # no fold: these steps read the cells the walk would
+        for _ in range(k):
+            v = m.succ[v]
+        return v
     pos, v = _walk(m, v, k)
     if v not in pos:
         return v
@@ -294,22 +301,23 @@ def term_value(
 
 
 def _value(m: Interpretation, t: Term, env: Assignment) -> int:
-    if isinstance(t, Var):
+    cls = t.__class__
+    if cls is Var:
         return env[t.index] if t.index in env else m.zero
-    if isinstance(t, Zero):
+    if cls is Add:
+        return m.add[_value(m, t.left, env)][_value(m, t.right, env)]
+    if cls is Mul:
+        return m.mul[_value(m, t.left, env)][_value(m, t.right, env)]
+    if cls is Zero:
         return m.zero
-    if isinstance(t, BigNumeral):
-        return numeral_value_in(m, t.value)
-    if isinstance(t, Succ):
+    if cls is Succ:
         succs = 0
-        while isinstance(t, Succ):
+        while t.__class__ is Succ:
             succs += 1
             t = t.arg
         return _apply_succ(m, _value(m, t, env), succs)
-    if isinstance(t, Add):
-        return m.add[_value(m, t.left, env)][_value(m, t.right, env)]
-    if isinstance(t, Mul):
-        return m.mul[_value(m, t.left, env)][_value(m, t.right, env)]
+    if cls is BigNumeral:
+        return numeral_value_in(m, t.value)
     raise NotATreeError(f"not a term: {t!r}")
 
 
@@ -349,25 +357,38 @@ def tarski(f: Formula, env: Assignment, atom, over) -> bool:
             raise NotATreeError(f"not a formula: {f!r}")
 
 
-def satisfies(
-    m: Interpretation, env: Assignment, f: Formula, mode: str = "standard"
-) -> bool:
-    """Tarski satisfaction with the variables ranging over the points of
-    the mode; env is read as in term_value."""
+def _semantics(m: Interpretation, mode: str):
+    """The points of the mode in m, and tarski's atom and over for m."""
     points = _points(m, mode)
 
     def atom(eq: Eq, env: Assignment):
         return m.eq[_value(m, eq.left, env)][_value(m, eq.right, env)]
 
-    return tarski(f, _read(m, env, points), atom, lambda x, env: points)
+    return points, atom, lambda x, env: points
+
+
+def satisfies(
+    m: Interpretation, env: Assignment, f: Formula, mode: str = "standard"
+) -> bool:
+    """Tarski satisfaction with the variables ranging over the points of
+    the mode; env is read as in term_value."""
+    points, atom, over = _semantics(m, mode)
+    return tarski(f, _read(m, env, points), atom, over)
+
+
+def _closure(f: Formula) -> Formula:
+    """The universal closure of f."""
+    for x in free_vars(f):
+        f = ForAll(x, f)
+    return f
 
 
 def is_true(m: Interpretation, f: Formula, mode: str = "standard") -> bool:
     """Truth: satisfaction of the universal closure, so every assignment
     of points to the free variables satisfies f."""
-    for x in free_vars(f):
-        f = ForAll(x, f)
-    return satisfies(m, {}, f, mode)
+    closed = _closure(f)
+    _, atom, over = _semantics(m, mode)
+    return tarski(closed, {}, atom, over)
 
 
 def restrict(m: Interpretation) -> Interpretation:
@@ -687,42 +708,36 @@ def numeral_chain(
     return universal, instances
 
 
-# each law family is a tuple of cases, one per pinned item; a case gives
-# the detail of the violation it finds in one model, or None
+# each law family is a tuple of cases, one per pinned item, each a partial
+# that carries what its item needs; a case gives the detail of the
+# violation it finds in one model, or None
 
 
-def _instance_case(inst, m, mode):
-    if not is_true(m, inst, mode):
-        return f"instance not true: {inst}"
+def _truth_case(premises, conclusion, detail, m, mode):
+    # the detail when each closed premise is true and the conclusion is not
+    _, atom, over = _semantics(m, mode)
+    if all(tarski(f, {}, atom, over) for f in premises) and not tarski(
+            conclusion, {}, atom, over):
+        return detail
     return None
 
 
-def _detachment_case(a, b, m, mode):
-    imp = Implies(a, b)
-    if is_true(m, a, mode) and is_true(m, imp, mode) and not is_true(m, b, mode):
-        return f"detachment loses truth: {a} with {imp}"
-    return None
-
-
-def _generalisation_case(x, b, m, mode):
-    if is_true(m, b, mode) and not is_true(m, ForAll(x, b), mode):
-        return f"generalisation loses truth: {b} over x{x}"
-    return None
-
-
-def _duality_case(x, b, m, mode):
+def _duality_case(x, b, dual, variables, m, mode):
+    points, atom, over = _semantics(m, mode)
     domain = range(m.size)
-    for env in _assignments(domain, sorted(free_vars(b) | {x})):
-        direct = any(satisfies(m, {**env, x: d}, b, mode) for d in domain)
-        if direct != satisfies(m, env, exists(x, b), mode):
+    for env in _assignments(domain, variables):
+        direct = any(tarski(b, _read(m, {**env, x: d}, points), atom, over) for d in domain)
+        if direct != tarski(dual, _read(m, env, points), atom, over):
             return f"existential duality breaks for x{x} in {b} at {env}"
     return None
 
 
 def _substitution_case(b, x, t, sub, fv, m, mode):
+    points, atom, over = _semantics(m, mode)
     for env in _assignments(range(m.size), fv):
-        lhs = satisfies(m, env, sub, mode)
-        rhs = satisfies(m, {**env, x: term_value(m, t, env, mode)}, b, mode)
+        seen = _read(m, env, points)
+        lhs = tarski(sub, seen, atom, over)
+        rhs = tarski(b, _read(m, {**env, x: _value(m, t, seen)}, points), atom, over)
         if lhs != rhs:
             return (
                 f"substitution lemma breaks for {t} into x{x}"
@@ -731,12 +746,12 @@ def _substitution_case(b, x, t, sub, fv, m, mode):
     return None
 
 
-def _collapse_case(x, b, m, mode):
-    points = _points(m, mode)
-    lhs = is_true(m, ForAll(x, b), mode)
+def _collapse_case(x, b, universal, fv, m, mode):
+    points, atom, over = _semantics(m, mode)
+    lhs = tarski(universal, {}, atom, over)
     rhs = all(
-        satisfies(m, {**env, x: d}, b, mode)
-        for env in _assignments(range(m.size), sorted(free_vars(b) - {x}))
+        tarski(b, _read(m, {**env, x: d}, points), atom, over)
+        for env in _assignments(range(m.size), fv)
         for d in points
     )
     if lhs != rhs:
@@ -762,18 +777,25 @@ def _chain_case(x, b, m, mode):
 
 LAWS = {
     **{
-        family: tuple(partial(_instance_case, inst) for inst in instances)
+        family: tuple(partial(_truth_case, (), _closure(f), f"instance not true: {f}")
+                      for f in instances)
         for family, instances in A_INSTANCES.items()
     },
     "rules": (
-        *(partial(_detachment_case, a, b) for a, b in MP_PAIRS),
-        *(partial(_generalisation_case, x, b) for x, b in GEN_CASES),
+        *(partial(_truth_case, (_closure(a), _closure(imp)), _closure(b),
+                  f"detachment loses truth: {a} with {imp}")
+          for a, b in MP_PAIRS for imp in [Implies(a, b)]),
+        *(partial(_truth_case, (_closure(b),), _closure(ForAll(x, b)),
+                  f"generalisation loses truth: {b} over x{x}")
+          for x, b in GEN_CASES),
     ),
-    "duality": tuple(partial(_duality_case, x, b) for x, b in DUALITY_CASES),
+    "duality": tuple(partial(_duality_case, x, b, exists(x, b), sorted(free_vars(b) | {x}))
+                     for x, b in DUALITY_CASES),
     "substitution": tuple(
         partial(_substitution_case, *case) for case in _SUBSTITUTIONS
     ),
-    "collapse": tuple(partial(_collapse_case, x, b) for x, b in COLLAPSE_CASES),
+    "collapse": tuple(partial(_collapse_case, x, b, _closure(ForAll(x, b)),
+                              sorted(free_vars(b) - {x})) for x, b in COLLAPSE_CASES),
     "chain": tuple(partial(_chain_case, x, b) for x, b in CHAIN_CASES),
 }
 FAMILIES = tuple(LAWS)
@@ -791,14 +813,15 @@ _CLEAN = (None,)  # the one leaf of every case that found no violation
 class _Row:
     """succ, or one row of add, mul or eq, as a _Reader hands it out."""
 
-    __slots__ = ("_read", "_cells")
+    __slots__ = ("_reads", "_cells", "_range")
 
     def __init__(self, reader: _Reader, first: int):
-        self._read = reader._read
-        self._cells = range(first, first + reader.size)
+        self._reads, self._cells = reader._reads, reader._cells
+        self._range = range(first, first + reader.size)
 
     def __getitem__(self, i: int) -> int:
-        return self._read(self._cells[i])
+        cell = self._range[i]
+        return self._reads.setdefault(cell, self._cells[cell])
 
 
 class _Reader:
@@ -809,18 +832,16 @@ class _Reader:
     and the recorded reads alone.  No row refers back to the reader, so a
     reader is freed as soon as its case returns."""
 
-    __slots__ = ("size", "succ", "add", "mul", "eq", "_read", "_reads")
+    __slots__ = ("size", "succ", "add", "mul", "eq", "_reads", "_cells")
 
     def __init__(self, size: int, cells: tuple[int, ...]):
-        self.size = size
-        self._reads = reads = {}
-        self._read = lambda cell: reads.setdefault(cell, cells[cell])
+        self.size, self._reads, self._cells = size, {}, cells
         self.succ = _Row(self, 1)
         self.add, self.mul, self.eq = _tables(size, partial(_Row, self))
 
     @property
     def zero(self) -> int:
-        return self._read(0)
+        return self._reads.setdefault(0, self._cells[0])
 
     def _whole(self, *_):
         raise TypeError("a case reads a model cell by cell, not as a whole")

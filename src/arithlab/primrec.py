@@ -51,6 +51,7 @@ from .syntax import (
     Formula,
     Implies,
     Mul,
+    NotTextError,
     Succ,
     Term,
     Var,
@@ -544,6 +545,8 @@ def parse_pr(text: str) -> PRFunc:
     """Parse the s-expression syntax: zero, succ, (proj n i), (comp f g...),
     (rec base step), or a catalog name, with one stack of open forms: each
     head comes right after its '(', and a comp or rec is built at its ')'."""
+    if not isinstance(text, str):
+        raise NotTextError(f"expected a str to parse, got {type(text).__name__}")
     tokens = text.replace("(", " ( ").replace(")", " ) ").split()
     if not tokens:
         raise PRError("empty PR function text")

@@ -22,10 +22,11 @@ without materialising them.  num(0) is interchangeable with 0 everywhere.
 
 The node classes are frozen slotted classes written out by hand, so this
 module imports only re: __init__ sets each field once, through its slot
-descriptor, assigning or deleting a field raises AttributeError, and
-pickle and copy rebuild a node from its fields.  The parser takes its
-tokens from one regex pass; a token carries no position, so only a
-ParseError scans the text again to find where it is.
+descriptor, assigning or deleting a field raises AttributeError, pickle
+and copy.copy rebuild a node from its fields, and copy.deepcopy gives
+the node itself.  The parser takes its tokens from one regex pass; a
+token carries no position, so only a ParseError scans the text again to
+find where it is, and input that is not a str is a NotTextError.
 
 Printing, keys, ==, official symbol strings and every rebuild of a tree go
 through spell, one explicit-stack traversal, and the parsers and free_vars
@@ -66,6 +67,10 @@ class _Node:
         # rebuilt from its fields, so pickle and copy run __init__'s checks
         fields = self.__match_args__
         return self.__class__, tuple([getattr(self, name) for name in fields])
+
+    def __deepcopy__(self, memo):
+        # immutable, so a deep copy is the node itself, at any depth
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, _Node):
@@ -230,6 +235,10 @@ class NodeValueError(SyntaxToolError, ValueError):
 
 class NotATreeError(SyntaxToolError, TypeError):
     """Something that is not a term or formula where a tree is needed."""
+
+
+class NotTextError(SyntaxToolError, TypeError):
+    """Parser input that is not a str."""
 
 
 class NumeralLimitError(SyntaxToolError, ValueError):
@@ -433,6 +442,8 @@ def _index(text: str, tokens: list[str], i: int) -> int:
 
 def parse(text: str) -> Expr:
     """Parse text as a term or a formula, whichever it is."""
+    if not isinstance(text, str):
+        raise NotTextError(f"expected a str to parse, got {type(text).__name__}")
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of input
     i = 0

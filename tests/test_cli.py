@@ -19,6 +19,7 @@ from arithlab.proofs import format_proof
 from arithlab.syntax import (
     ArithlabError,
     CaptureError,
+    NotTextError,
     ParseError,
     Refusal,
     parse_formula,
@@ -459,7 +460,8 @@ DEFINED_EXCEPTIONS = _defined_exceptions()
 
 
 def test_every_arithlab_exception_derives_from_the_root():
-    assert {ArithlabError, Refusal, CaptureError, RestrictError} <= set(DEFINED_EXCEPTIONS)
+    assert {ArithlabError, Refusal, CaptureError, RestrictError, NotTextError} \
+        <= set(DEFINED_EXCEPTIONS)
     for cls in DEFINED_EXCEPTIONS:
         assert issubclass(cls, ArithlabError), cls
 

@@ -538,6 +538,35 @@ def test_metacheck_runs_a_case_once_per_reading_of_its_cells(monkeypatch):
     assert 5 <= len(runs) < 5 * report.examined // 10
 
 
+# the case runs of each sweep the lawhunt benchmark makes at size 2, per
+# mode, eq filter and family: 3,465 standard, 4,169 parameterized and 135
+# congruent in all.  A change to the cells any case reads, or to their
+# order, changes the tries and so these counts.
+LAWHUNT_CASE_RUNS = {
+    ("standard", "identity"): {
+        "A1": 11, "A2": 8, "A3": 6, "A4": 23, "A5": 9, "rules": 38,
+        "duality": 11, "substitution": 34, "collapse": 3287, "chain": 38},
+    ("parameterized", "identity"): {
+        "A1": 21, "A2": 14, "A3": 14, "A4": 47, "A5": 21, "rules": 118,
+        "duality": 21, "substitution": 58, "collapse": 3820, "chain": 35},
+    ("standard", "congruent"): {
+        "A1": 17, "A2": 12, "A3": 8, "A4": 45, "A5": 13, "rules": 40},
+}
+
+
+def test_lawhunt_sweeps_run_their_cases_as_often_as_pinned(monkeypatch):
+    readers = []  # one _Reader per case run
+    monkeypatch.setattr("arithlab.models._Reader",
+                        lambda *args: readers.append(args) or _Reader(*args))
+    for (mode, eq), pinned in LAWHUNT_CASE_RUNS.items():
+        runs = {}
+        for family in pinned:
+            readers.clear()
+            metacheck(2, (family,), mode, eq_tables=eq)
+            runs[family] = len(readers)
+        assert runs == pinned, (mode, eq)
+
+
 @pytest.mark.parametrize("peek", [
     lambda m: m.normal,
     lambda m: format_interpretation(m),

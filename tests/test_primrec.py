@@ -39,6 +39,8 @@ from arithlab.syntax import (
     Eq,
     ForAll,
     Not,
+    NotTextError,
+    SyntaxToolError,
     Var,
     Zero,
     conj,
@@ -75,6 +77,14 @@ def test_composition_and_recursion():
                Comp(MULTIPLICATION,
                     (Proj(3, 3), Comp(SuccFn(), (Proj(3, 2),)))))
     assert [eval_pr(fact, (0, n)) for n in range(6)] == [1, 1, 2, 6, 24, 120]
+
+
+def test_parse_pr_of_what_is_not_a_str_is_a_named_error():
+    for given in (None, 3, b"(comp succ zero)"):
+        with pytest.raises(NotTextError, match="^expected a str to parse, got ") as caught:
+            parse_pr(given)
+        assert isinstance(caught.value, SyntaxToolError)
+        assert isinstance(caught.value, TypeError)
 
 
 def test_arity_validation():

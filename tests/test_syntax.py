@@ -23,6 +23,7 @@ from arithlab.syntax import (
     Mul,
     NodeValueError,
     Not,
+    NotTextError,
     NumeralLimitError,
     ParseError,
     Succ,
@@ -193,6 +194,26 @@ def test_free_vars_of_a_non_tree_is_a_named_error():
     with pytest.raises(ArithlabError, match="^not a term or formula: 'x1'$") as caught:
         free_vars(Not("x1"))
     assert isinstance(caught.value, TypeError)
+
+
+@pytest.mark.parametrize("read", [parse, parse_term, parse_formula])
+def test_parsing_what_is_not_a_str_is_a_named_error(read):
+    for given in (None, 3, b"(x1 = 0)"):
+        with pytest.raises(NotTextError, match="^expected a str to parse, got ") as caught:
+            read(given)
+        assert isinstance(caught.value, SyntaxToolError)
+        assert isinstance(caught.value, TypeError)
+
+
+def test_deepcopy_of_a_deep_tree_is_the_tree():
+    deep = Zero()
+    for _ in range(10**4):
+        deep = Add(deep, Var(1))
+    try:
+        twin = copy.deepcopy(deep)
+    except RecursionError:
+        twin = None  # reported outside the handler, as in the repr test
+    assert twin is deep
 
 
 def test_repr_is_not_recursive():
