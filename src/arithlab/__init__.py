@@ -1,7 +1,7 @@
 """arithlab: a workbench for first-order arithmetic.
 
 Modules:
-  syntax    terms, formulas, parser, printer, substitution
+  syntax    terms, formulas, parser, printer, substitution, tarski
   proofs    Hilbert-style proof objects and the proof checker
   corpus    a small library of checked proofs
   godel     symbol numbering and sequence codes, with code-level

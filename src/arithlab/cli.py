@@ -42,6 +42,11 @@ def _read_file(path: str) -> str:
         raise _ArgError(f"cannot read {path!r}: {e}") from None
 
 
+def _model_file(args):  # the models module, and the interpretation in args.model
+    from . import models
+    return models, models.parse_interpretation(_read_file(args.model))
+
+
 class _ArgError(ArithlabError):
     """Bad command line value, reported like any other error."""
 
@@ -175,8 +180,7 @@ def cmd_represent(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from . import models
-    m = models.parse_interpretation(_read_file(args.model))
+    models, m = _model_file(args)
     formula = parse_formula(args.formula)
     if models.is_true(m, formula, _MODE_NAMES[args.mode]):
         print("true")
@@ -186,15 +190,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_image(args) -> int:
-    from . import models
-    m = models.parse_interpretation(_read_file(args.model))
+    models, m = _model_file(args)
     print(" ".join(str(v) for v in models.numeral_image(m)))
     return 0
 
 
 def cmd_restrict(args) -> int:
-    from . import models
-    m = models.parse_interpretation(_read_file(args.model))
+    models, m = _model_file(args)
     try:
         print(models.format_interpretation(models.restrict(m)), end="")
     except models.RestrictError as e:
@@ -204,8 +206,7 @@ def cmd_restrict(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    from . import models
-    m = models.parse_interpretation(_read_file(args.model))
+    models, m = _model_file(args)
     formula = parse_formula(args.formula)
     universal, instances = models.numeral_chain(
         m, args.var, formula, _MODE_NAMES[args.mode]

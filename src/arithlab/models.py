@@ -1,15 +1,14 @@
-"""Finite interpretations, two satisfaction modes, and tarski, the one
-satisfaction relation of arithlab.
+"""Finite interpretations, two satisfaction modes, and sweeps of pinned
+law families over enumerated models.
 
 An Interpretation fixes a finite domain 0..size-1 with a distinguished
 zero, a successor table, binary tables for plus and times, and a truth
 table for the equality predicate.  Normal means equality is interpreted
 as identity.
 
-tarski has the usual clauses; its caller decides equations and says what
-each quantifier ranges over.  primrec's certificates decide equations in
-the naturals, over the ranges their formulas recorded.  Here equations
-are table lookups, and the two modes differ only in the points that the
+Formulas are decided by syntax.tarski, whose caller decides equations
+and says what each quantifier ranges over.  Here equations are table
+lookups, and the two modes differ only in the points that the
 quantifiers, and the sweep over free variables in is_true, range over:
 
   standard       the whole domain
@@ -17,11 +16,12 @@ quantifiers, and the sweep over free variables in is_true, range over:
                  so all and only the values of the numerals
 
 An assignment handed to satisfies or term_value may use any domain
-element; a value outside the points reads as zero.  Where that range
-restriction makes familiar logical laws fail is what metacheck hunts
-for: it enumerates small interpretations and evaluates pinned instance
-families, reporting every (interpretation, instance) pair on which an
-expected law breaks.
+element; a value outside the points reads as zero (the substitution
+law sweeps the domain through that remap, collapse and duality only the
+points).  Where that range restriction makes familiar logical laws fail
+is what metacheck hunts for: it enumerates small interpretations and
+evaluates pinned instance families, reporting every (interpretation,
+instance) pair on which an expected law breaks.
 
 Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
@@ -55,7 +55,6 @@ from .syntax import (
     Formula,
     Implies,
     Mul,
-    Not,
     NotATreeError,
     Refusal,
     Succ,
@@ -68,6 +67,7 @@ from .syntax import (
     parse_formula,
     parse_term,
     substitute,
+    tarski,
 )
 
 MODES = ("standard", "parameterized")
@@ -319,42 +319,6 @@ def _value(m: Interpretation, t: Term, env: Assignment) -> int:
     if cls is BigNumeral:
         return numeral_value_in(m, t.value)
     raise NotATreeError(f"not a term: {t!r}")
-
-
-def tarski(f: Formula, env: Assignment, atom, over) -> bool:
-    """Tarski satisfaction of f under env.
-
-    atom(eq, env) decides an equation; over(index, env) gives the values
-    a quantifier of x_index ranges over (none makes it true).  Negations,
-    consequents and a quantifier's last value are followed in this frame
-    through a polarity flag: only antecedents and other values nest.
-    """
-    positive = True
-    while True:
-        cls = f.__class__
-        if cls is Eq:
-            return positive if atom(f, env) else not positive
-        if cls is Not:
-            positive = not positive
-            f = f.body
-        elif cls is Implies:
-            if not tarski(f.left, env, atom, over):
-                return positive
-            f = f.right
-        elif cls is ForAll:
-            x = f.index
-            f = f.body
-            values = iter(over(x, env))
-            last = next(values, None)
-            if last is None:
-                return positive
-            for d in values:
-                if not tarski(f, {**env, x: last}, atom, over):
-                    return not positive
-                last = d
-            env = {**env, x: last}
-        else:
-            raise NotATreeError(f"not a formula: {f!r}")
 
 
 def _semantics(m: Interpretation, mode: str):
@@ -724,10 +688,10 @@ def _truth_case(premises, conclusion, detail, m, mode):
 
 def _duality_case(x, b, dual, variables, m, mode):
     points, atom, over = _semantics(m, mode)
-    domain = range(m.size)
-    for env in _assignments(domain, variables):
-        direct = any(tarski(b, _read(m, {**env, x: d}, points), atom, over) for d in domain)
-        if direct != tarski(dual, _read(m, env, points), atom, over):
+    values = sorted(points)  # in domain order
+    for env in _assignments(values, variables):
+        direct = any(tarski(b, {**env, x: d}, atom, over) for d in values)
+        if direct != tarski(dual, env, atom, over):
             return f"existential duality breaks for x{x} in {b} at {env}"
     return None
 
@@ -750,8 +714,8 @@ def _collapse_case(x, b, universal, fv, m, mode):
     points, atom, over = _semantics(m, mode)
     lhs = tarski(universal, {}, atom, over)
     rhs = all(
-        tarski(b, _read(m, {**env, x: d}, points), atom, over)
-        for env in _assignments(range(m.size), fv)
+        tarski(b, {**env, x: d}, atom, over)
+        for env in _assignments(sorted(points), fv)
         for d in points
     )
     if lhs != rhs:

@@ -25,9 +25,9 @@ represent records, for every quantifier it introduces, a range rule:
 from the values in scope it gives what that variable ranges over.  An
 existential ranges over its intended witness alone, or over nothing when
 no witness exists; the universal of the recursion clause ranges over
-the numbers below its bound.  The formula is then decided by the one
-Tarski relation of models, with equations decided in the naturals and
-each quantifier ranging over its recorded range.  Confirmation means the
+the numbers below its bound.  The formula is then decided by
+syntax.tarski, with equations decided in the naturals and each
+quantifier ranging over its recorded range.  Confirmation means the
 formula certifies the true output and rejects every rival candidate up
 to the search bound; it is an empirical check on the construction, not
 a proof.  The range rules of a recursion clause share one memo per
@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .models import tarski
 from .syntax import (
     Add,
     ArithlabError,
@@ -59,6 +58,7 @@ from .syntax import (
     conj,
     exists,
     spell,
+    tarski,
 )
 
 

@@ -326,6 +326,16 @@ def is_any_axiom(f: Formula) -> bool:
 # proof checking
 
 
+def _cited(rule: str, refs, formulas: dict[int, Formula], number: int) -> str | None:
+    """Why a line a rule cites is not an earlier line, or None."""
+    for ref in refs:
+        if ref >= number or ref < 1:
+            return f"{rule} cites line {ref}, which is not an earlier line"
+        if ref not in formulas:
+            return f"{rule} cites line {ref}, which does not exist"
+    return None
+
+
 def check_line(
     formulas: dict[int, Formula], line: ProofLine
 ) -> str | None:
@@ -336,11 +346,8 @@ def check_line(
             return f"formula is not an instance of {just.tag}"
         return None
     if isinstance(just, ModusPonens):
-        for ref in (just.premise, just.implication):
-            if ref >= line.number or ref < 1:
-                return f"MP cites line {ref}, which is not an earlier line"
-            if ref not in formulas:
-                return f"MP cites line {ref}, which does not exist"
+        if bad := _cited("MP", (just.premise, just.implication), formulas, line.number):
+            return bad
         implication = formulas[just.implication]
         if not (
             isinstance(implication, Implies)
@@ -353,10 +360,8 @@ def check_line(
             )
         return None
     if isinstance(just, Generalization):
-        if just.source >= line.number or just.source < 1:
-            return f"GEN cites line {just.source}, which is not an earlier line"
-        if just.source not in formulas:
-            return f"GEN cites line {just.source}, which does not exist"
+        if bad := _cited("GEN", (just.source,), formulas, line.number):
+            return bad
         f = line.formula
         if not (
             isinstance(f, ForAll)

@@ -35,10 +35,10 @@ Python's recursion limit.  == compares spellings: the printed one, with each
 index and numeral value an int piece.  Two keys are cached on a node: to_text,
 and canonical_key, with every numeral num(n), for semantic_eq and the hash.
 substitute carries the open binders of the replacement's variables along
-its one walk, so it takes time linear in the nesting depth.
-
-ArithlabError, the root of every error arithlab raises by name, and its
-subclass Refusal live here because every module imports this one.
+its one walk, and free_vars counts those of each index, so both take time
+linear in the nesting depth.  ArithlabError, the root of every error that
+arithlab raises by name, its subclass Refusal, and tarski, the one Tarski
+relation, live here because every module imports this one.
 """
 
 from __future__ import annotations
@@ -310,6 +310,42 @@ def succ_entry(opening: list, closing: list, numeral=None):
     return entry
 
 
+def tarski(f: Formula, env: dict[int, int], atom, over) -> bool:
+    """Tarski satisfaction of f under env.
+
+    atom(eq, env) decides an equation; over(index, env) gives the values
+    a quantifier of x_index ranges over (none makes it true).  Negations,
+    consequents and a quantifier's last value are followed in this frame
+    through a polarity flag: only antecedents and other values nest.
+    """
+    positive = True
+    while True:
+        cls = f.__class__
+        if cls is Eq:
+            return positive if atom(f, env) else not positive
+        if cls is Not:
+            positive = not positive
+            f = f.body
+        elif cls is Implies:
+            if not tarski(f.left, env, atom, over):
+                return positive
+            f = f.right
+        elif cls is ForAll:
+            x = f.index
+            f = f.body
+            values = iter(over(x, env))
+            last = next(values, None)
+            if last is None:
+                return positive
+            for d in values:
+                if not tarski(f, {**env, x: last}, atom, over):
+                    return not positive
+                last = d
+            env = {**env, x: last}
+        else:
+            raise NotATreeError(f"not a formula: {f!r}")
+
+
 # --------------------------------------------------------------------------
 # printing and keys
 
@@ -550,18 +586,19 @@ def parse(text: str) -> Expr:
     return value
 
 
-def parse_term(text: str) -> Term:
+def _parse_as(cls: type, message: str, text: str):
     item = parse(text)
-    if not isinstance(item, Term):
-        raise ParseError("expected a term, found a formula", 0)
+    if not isinstance(item, cls):
+        raise ParseError(message, 0)
     return item
+
+
+def parse_term(text: str) -> Term:
+    return _parse_as(Term, "expected a term, found a formula", text)
 
 
 def parse_formula(text: str) -> Formula:
-    item = parse(text)
-    if not isinstance(item, Formula):
-        raise ParseError("expected a formula, found a term", 0)
-    return item
+    return _parse_as(Formula, "expected a formula, found a term", text)
 
 
 # --------------------------------------------------------------------------
@@ -571,25 +608,26 @@ def parse_formula(text: str) -> Formula:
 def free_vars(e: Expr) -> frozenset[int]:
     """Indices of the variables occurring free in e."""
     out: set[int] = set()
-    # (node, bound-variable set) work list; Succ chains are peeled inline.
-    stack: list[tuple[Expr, frozenset[int]]] = [(e, frozenset())]
+    bound: dict[int, int] = {}  # open binders per index; close shuts one
+    stack: list = [e]
+    close = object()  # on the work list, over the index it closes
     while stack:
-        node, bound = stack.pop()
+        node = stack.pop()
         while isinstance(node, Succ):
             node = node.arg
-        if isinstance(node, Var):
-            if node.index not in bound:
+        if node is close:
+            bound[stack.pop()] -= 1
+        elif isinstance(node, Var):
+            if not bound.get(node.index):
                 out.add(node.index)
-        elif isinstance(node, (Zero, BigNumeral)):
-            pass
         elif isinstance(node, _Pair):
-            stack.append((node.left, bound))
-            stack.append((node.right, bound))
+            stack += (node.left, node.right)
         elif isinstance(node, Not):
-            stack.append((node.body, bound))
+            stack.append(node.body)
         elif isinstance(node, ForAll):
-            stack.append((node.body, bound | {node.index}))
-        else:
+            bound[node.index] = bound.get(node.index, 0) + 1
+            stack += (node.index, close, node.body)
+        elif not isinstance(node, (Zero, BigNumeral)):
             raise NotATreeError(f"not a term or formula: {node!r}")
     return frozenset(out)
 

@@ -424,7 +424,7 @@ HANDLER_CALLS = [
     (["check-proof", "PROOF"], {"proofs"}),
     (["num", "3", "--seq", "pair"], {"godel", "proofs"}),
     (["diag", "(x1 = x2)"], {"diagonal", "godel", "proofs"}),
-    (["represent", "addition", "--check", "1,2"], {"primrec", "models"}),
+    (["represent", "addition", "--check", "1,2"], {"primrec"}),
     (["image", "MODEL"], {"models"}),
     (["corpus", "OUT"], {"corpus", "proofs"}),
 ]

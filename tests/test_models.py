@@ -554,17 +554,23 @@ LAWHUNT_CASE_RUNS = {
 }
 
 
+# the sha256 of the str() of those sweeps' reports, concatenated in order
+LAWHUNT_REPORTS_SHA256 = "19f3a58ac0487e9ded94f60b11558fa1173742e6f4aa3869f4e84d1561a3be26"
+
+
 def test_lawhunt_sweeps_run_their_cases_as_often_as_pinned(monkeypatch):
     readers = []  # one _Reader per case run
     monkeypatch.setattr("arithlab.models._Reader",
                         lambda *args: readers.append(args) or _Reader(*args))
+    reports = hashlib.sha256()
     for (mode, eq), pinned in LAWHUNT_CASE_RUNS.items():
         runs = {}
         for family in pinned:
             readers.clear()
-            metacheck(2, (family,), mode, eq_tables=eq)
+            reports.update(str(metacheck(2, (family,), mode, eq_tables=eq)).encode())
             runs[family] = len(readers)
         assert runs == pinned, (mode, eq)
+    assert reports.hexdigest() == LAWHUNT_REPORTS_SHA256
 
 
 @pytest.mark.parametrize("peek", [

@@ -238,6 +238,23 @@ def test_free_vars():
     assert free_vars(parse_formula("forall x1 . (x1 = x1)")) == frozenset()
     assert free_vars(parse_term("((x3 * x1) + S(x3))")) == frozenset({1, 3})
     assert free_vars(numeral(50)) == frozenset()
+    # a binder closes after its body, and an inner one of the same index
+    # leaves the outer one open
+    assert free_vars(parse_formula(
+        "(forall x1 . (x1 = 0) -> (x1 = x2))")) == frozenset({1, 2})
+    assert free_vars(parse_formula(
+        "forall x1 . (forall x1 . (x1 = 0) -> (x1 = x2))")) == frozenset({2})
+
+
+def test_free_vars_under_40k_distinct_binders_is_linear():
+    depth = 4 * 10**4
+    f = Eq(Var(1), Var(depth + 1))
+    for index in range(1, depth + 1):
+        f = ForAll(index, f)
+    start = time.perf_counter()
+    assert free_vars(f) == frozenset({depth + 1})
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"free_vars took {elapsed:.2f} s"
 
 
 def test_substitute_term():
