@@ -243,7 +243,10 @@ def cmd_metacheck(args) -> int:
 
 def cmd_corpus(args) -> int:
     from .corpus import write_corpus
-    names = write_corpus(args.directory)
+    try:
+        names = write_corpus(args.directory)
+    except ValueError as e:  # a NUL in the name
+        raise _ArgError(f"cannot write to {args.directory!r}: {e}") from None
     print(f"wrote {len(names)} proofs to {args.directory}")
     return 0
 

@@ -38,7 +38,8 @@ and two sequence encodings:
 Decoding folds every numeral into one run, then reads the official string
 with one stack of open parentheses: each ')' reduces what follows its '('
 to a value.  Numerals up to EXPAND_MAX come back as explicit S chains,
-larger ones as num(n) nodes.
+larger ones as num(n) nodes.  Each value is interned (hash-consed) in a
+table, so trees read into one table that spell alike are one object.
 
 The same two-layer scheme encodes proofs: a proof code is the sequence
 code of its line formulas' expression codes.  Justifications are not
@@ -46,7 +47,8 @@ encoded; the proof predicate re-derives checkability, treating a proof as
 a bare formula sequence in which every line must be an axiom or follow
 from earlier lines by MP or GEN.  It holds the last line against the
 conclusion first, then decodes and judges the lines in order and stops at
-the first that fails.
+the first that fails.  It interns the lines it decodes, and the
+conclusion, in one table, and looks each line up by identity.
 
 The metafunctions operate on codes: meta_num builds numeral codes
 directly, meta_neg and meta_sub rewrite decoded symbol sequences (not
@@ -76,7 +78,6 @@ from .syntax import (
     Term,
     Var,
     Zero,
-    canonical_key,
     succ_entry,
     spell,
 )
@@ -352,7 +353,16 @@ def _compound(head: Symbol | None, body: list):
     return None
 
 
-def _parse_tokens(tokens: list[Token]) -> Expr:
+def _leaf(tok: Token):
+    """The item a token other than a parenthesis stands for."""
+    if tok[0] == "var":
+        return Var(tok[1])
+    if tok[0] == "numrun":
+        return _numeral(tok[1])
+    return Zero() if tok == ZERO_CONST else tok
+
+
+def _parse_tokens(tokens: list[Token], table: dict | None = None) -> Expr:
     """The expression whose official string is tokens.
 
     Every compound of the official string is parenthesised, with its
@@ -362,10 +372,20 @@ def _parse_tokens(tokens: list[Token]) -> Expr:
     tokens must be normalised, every numeral one token, so that _numeral
     alone applies EXPAND_MAX.  Nothing recurses, so nesting is bounded by
     memory.
+
+    Each item is interned in table (a fresh one when none is given): a leaf
+    under its token, a compound under its head and the ids of its body's
+    items.  Every object whose id is in a key is a value of table, so no
+    such id is reused while table lives.  As each numeral is one leaf, two
+    trees read into one table have equal canonical keys exactly when they
+    are the same object.
     """
     if not tokens:
         raise NotACodeError("empty official string")
-    items: list = []  # symbols, ("binds", k) and trees
+    if table is None:
+        table = {}
+    interned = table.get
+    items: list = []  # symbols, ("binds", k) and trees, each a value of table
     opened: list[tuple] = []  # (where its body starts in items, head)
     for i, tok in enumerate(tokens):
         if tok == LPAREN:
@@ -377,19 +397,23 @@ def _parse_tokens(tokens: list[Token]) -> Expr:
             if not opened:
                 raise NotACodeError("official string malformed: ')' closes no '('")
             start, head = opened.pop()
-            value = _compound(head, items[start:])
+            body = items[start:]
+            key = (head, *map(id, body))
+            value = interned(key)
             if value is None:
-                raise NotACodeError(
-                    f"official string malformed: expected {_SHAPES[head]}"
-                )
+                value = _compound(head, body)
+                if value is None:
+                    raise NotACodeError(
+                        f"official string malformed: expected {_SHAPES[head]}"
+                    )
+                table[key] = value
             del items[start:]
             items.append(value)
-        elif tok[0] == "var":
-            items.append(Var(tok[1]))
-        elif tok[0] == "numrun":
-            items.append(_numeral(tok[1]))
         else:
-            items.append(Zero() if tok == ZERO_CONST else tok)
+            value = interned(tok)
+            if value is None:
+                value = table[tok] = _leaf(tok)
+            items.append(value)
     if opened:
         raise NotACodeError("official string malformed: a '(' is never closed")
     value = items[0]
@@ -690,8 +714,10 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
     here is a nonempty formula sequence in which every formula is an
     axiom instance or follows from earlier entries by MP or GEN.  The last
     line is held against the conclusion first; then the lines are decoded
-    and judged in order, each looked up by canonical key among the earlier
-    ones, and the first that fails ends the check.
+    and judged in order, and the first that fails ends the check.  All of
+    them and the conclusion are interned in one table, so each formula is
+    looked up among the earlier ones by identity, and keys are spelled only
+    where the axiom schemas compare parts.
     """
     try:
         if not isinstance(u, int) or not isinstance(x, int):
@@ -699,31 +725,30 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
         line_codes = _decode_sequence(u, config)
         if not line_codes:
             return False
-        last = decode_expr(line_codes[-1], config)
-        conclusion = decode_expr(x, config)
-        if not (isinstance(last, Formula) and isinstance(conclusion, Formula)):
+        table: dict = {}
+
+        def decode(code: int) -> Expr:
+            return _parse_tokens(_decode_tokens(code, config), table)
+
+        last = decode(line_codes[-1])
+        if not isinstance(last, Formula) or decode(x) is not last:
             return False
-        if canonical_key(last) != canonical_key(conclusion):
-            return False
-        earlier: set[str] = set()
-        # canonical key of B -> keys of A, for each earlier line (A -> B)
-        antecedents: dict[str, list[str]] = {}
+        earlier: set[int] = set()  # ids of the lines judged so far
+        # id of B -> ids of A, for each earlier line (A -> B)
+        antecedents: dict[int, list[int]] = {}
         for number, line_code in enumerate(line_codes, 1):
-            f = last if number == len(line_codes) else decode_expr(line_code, config)
+            f = last if number == len(line_codes) else decode(line_code)
             if not isinstance(f, Formula):
                 return False
-            key = canonical_key(f)
             if not (
-                any(a in earlier for a in antecedents.get(key, ()))
-                or (isinstance(f, ForAll) and canonical_key(f.body) in earlier)
+                any(a in earlier for a in antecedents.get(id(f), ()))
+                or (f.__class__ is ForAll and id(f.body) in earlier)
                 or _proofs.is_any_axiom(f)
             ):
                 return False
-            earlier.add(key)
-            if isinstance(f, Implies):
-                antecedents.setdefault(canonical_key(f.right), []).append(
-                    canonical_key(f.left)
-                )
+            earlier.add(id(f))
+            if f.__class__ is Implies:
+                antecedents.setdefault(id(f.right), []).append(id(f.left))
         return True
     except (NumberingError, ValueError):
         return False

@@ -300,9 +300,13 @@ def schema_instance(tag: str, **parts) -> Formula:
     """The tag's pattern with each metavariable replaced by its part: x by
     a variable index, the others by formulas.  The side condition is not
     checked here; check_axiom checks it."""
+    if tag not in SCHEMAS:
+        raise ProofArgumentError(f"unknown axiom tag {tag!r}")
 
     def fill(p):  # recursion is bounded by the pattern's depth, at most four
         if p.__class__ is str:
+            if p not in parts:
+                raise ProofArgumentError(f"schema {tag} needs a part {p}")
             return parts[p]
         if p.__class__ is tuple:
             return p[0](*map(fill, p[1:]))

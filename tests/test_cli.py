@@ -357,6 +357,13 @@ def test_a_nul_in_a_file_name_is_an_error_line(capsys, command, rest):
     assert err == "error: cannot read '\\x00': embedded null byte\n"
 
 
+def test_a_nul_in_the_corpus_directory_is_an_error_line(capsys):
+    assert main(["corpus", "\x00"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: cannot write to '\\x00': embedded null byte\n"
+
+
 def test_a_file_that_is_not_utf8_is_an_error_line(tmp_path, capsys):
     path = tmp_path / "latin1.model"
     path.write_bytes(b"size 1\nzero \xff\n")

@@ -10,7 +10,6 @@ from arithlab.corpus import build_all
 from arithlab.godel import (
     ADD_FN,
     COMMA,
-    DEFAULT_CONFIG,
     EQ_PRED,
     FORALL,
     IMP,
@@ -41,14 +40,17 @@ from arithlab.godel import (
     variable_code,
     _normalize_tokens,
 )
-from arithlab.proofs import check_proof
+from arithlab.proofs import check_proof, is_any_axiom, schema_instance
 from arithlab.syntax import (
     BigNumeral,
     CaptureError,
+    Implies,
     Not,
     Var,
+    canonical_key,
     expand_numerals,
     numeral,
+    numeral_value,
     parse_formula,
     parse_term,
     semantic_eq,
@@ -499,15 +501,76 @@ def test_meta_pf_stops_at_the_first_underivable_line(monkeypatch):
     u = pairing_sequence([encode_expr(f, MEND_PAIR) for f in lines])
     x = encode_expr(axiom, MEND_PAIR)
     decoded = []
+    parse_tokens = godel._parse_tokens
 
-    def counted(code, config=DEFAULT_CONFIG):
-        decoded.append(code)
-        return decode_expr(code, config)
+    def counted(tokens, table=None):
+        decoded.append(tokens)
+        return parse_tokens(tokens, table)
 
-    monkeypatch.setattr(godel, "decode_expr", counted)
+    # meta_pf reads each line, and the conclusion, through _parse_tokens
+    monkeypatch.setattr(godel, "_parse_tokens", counted)
     assert meta_pf(u, x, MEND_PAIR) is False
-    # the conclusion, the last line, then lines 1 and 2
-    assert len(decoded) <= 4
+    # the last line, the conclusion, then lines 1 and 2
+    assert 0 < len(decoded) <= 4
+
+
+def test_decoding_into_one_table_interns_equal_trees(corpus):
+    def eq(left, right):
+        return [EQ_PRED, LPAREN, *left, COMMA, *right, RPAREN]
+
+    # numerals 500, an S chain, and 501, num(501), each spelled two ways
+    streams = [
+        official_tokens(parse_formula("(num(500) = (num(501) + x1))")),
+        eq(successors(500, ZERO_CONST), successors(1, ("numrun", 500))),
+        eq(successors(2, ("numrun", 499)), successors(500, ZERO_CONST)),
+    ]
+    codes = [pairing_code(tokens) for tokens in streams]
+    for proof in corpus.values():
+        codes += _line_codes(proof)
+    table = {}
+    lines = [godel._parse_tokens(godel._decode_tokens(code, MEND_PAIR), table)
+             for code in codes]
+    n500, n501 = lines[0].left, lines[0].right.left
+    assert n500 is not n501
+    assert lines[1].left is n500 and lines[1].right is n501
+    assert lines[2].left is n501 and lines[2].right is n500
+    # a is b exactly when their keys are equal, over every node outside
+    # a numeral's own chain
+    nodes, stack = [], list(lines)
+    while stack:
+        e = stack.pop()
+        nodes.append(e)
+        if numeral_value(e) is None:
+            stack += [getattr(e, name) for name in e.__match_args__
+                      if name != "index"]
+    ids_by_key = {}
+    for e in nodes:
+        ids_by_key.setdefault(canonical_key(e), set()).add(id(e))
+    assert all(len(ids) == 1 for ids in ids_by_key.values())
+    assert len(set(map(id, nodes))) == len(ids_by_key)
+
+
+def test_meta_pf_matches_a_premise_whose_numeral_is_spelled_out():
+    # implication_identity over (S(0) = 0): the MP premises, lines 1 and
+    # 4, spell S(0) as f_1^1 ( a_1 ); the implications, lines 2 and 3,
+    # use the run ("numrun", 1)
+    b = parse_formula("(S(0) = 0)")
+    a2 = schema_instance("A2", B=b, C=Implies(b, b), D=b)
+    lines = [a2.left, a2, a2.right, schema_instance("A1", B=b, C=b), Implies(b, b)]
+    assert not is_any_axiom(lines[2]) and not is_any_axiom(lines[4])
+
+    def spelled_out(f):
+        tokens = []
+        for tok in official_tokens(f):
+            tokens += successors(1, ZERO_CONST) if tok == ("numrun", 1) else [tok]
+        return tokens
+
+    codes = [encode_expr(f, MEND_PAIR) for f in lines]
+    for premise in (0, 3):
+        respelled = godel._encode_tokens(spelled_out(lines[premise]), MEND_PAIR)
+        assert respelled != codes[premise]
+        codes[premise] = respelled
+    assert meta_pf(pairing_sequence(codes), codes[-1], MEND_PAIR) is True
 
 
 def test_meta_pf_rejects_junk_after_a_failing_line(corpus):

@@ -26,6 +26,7 @@ from arithlab.proofs import (
     is_any_axiom,
     parse_justification,
     parse_proof,
+    schema_instance,
 )
 from arithlab.syntax import (
     Add,
@@ -263,7 +264,10 @@ def _mp_on_an_equation():
     lambda: Proof(()).conclusion,
     _mp_on_an_equation,
     lambda: ProofBuilder().proper_instance("S1", [Zero()]),
-], ids=["axiom", "check_axiom", "conclusion", "mp", "proper_instance"])
+    lambda: schema_instance("congruent"),
+    lambda: schema_instance("A1", B=parse_formula("(0 = 0)")),
+], ids=["axiom", "check_axiom", "conclusion", "mp", "proper_instance",
+        "schema_instance_tag", "schema_instance_part"])
 def test_misuse_raises_a_named_value_error(call):
     with pytest.raises(ProofArgumentError) as caught:
         call()
