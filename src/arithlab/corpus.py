@@ -17,6 +17,7 @@ import os
 from .proofs import Proof, ProofBuilder, format_proof, schema_instance
 from .syntax import (
     Add,
+    ArithlabError,
     Eq,
     Implies,
     Succ,
@@ -157,9 +158,16 @@ def build_all() -> dict[str, Proof]:
     return {name: builder() for name, builder in CORPUS_BUILDERS.items()}
 
 
+class CorpusPathError(ArithlabError, ValueError):
+    """A corpus directory name that no file can have, such as one with a NUL."""
+
+
 def write_corpus(directory: str) -> list[str]:
     """Write every corpus proof as <name>.prf under directory."""
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except ValueError as e:  # a NUL in the name
+        raise CorpusPathError(f"cannot write to {directory!r}: {e}") from None
     written = []
     for name, proof in build_all().items():
         path = os.path.join(directory, f"{name}.prf")

@@ -632,8 +632,7 @@ def meta_num(n: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     """Code of the numeral for n, built without a syntax tree."""
     if n < 0:
         raise NumeralRangeError("numerals exist for n >= 0 only")
-    tokens: list[Token] = [ZERO_CONST] if n == 0 else [("numrun", n)]
-    return _encode_tokens(tokens, config)
+    return _encode_tokens([_numeral_token(n)], config)
 
 
 def meta_neg(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> int:

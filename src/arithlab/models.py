@@ -565,11 +565,6 @@ SUBSTITUTION_CASES: tuple[tuple[Formula, int, Term], ...] = (
     (_fml("forall x2 . (x1 = x2)"), 1, parse_term("0")),
     (_fml("(x1 = 0)"), 1, parse_term("S(x2)")),
 )
-# each case with b[t/x] and the variables that either side reads
-_SUBSTITUTIONS = tuple(
-    (b, x, t, substitute(b, x, t), sorted((free_vars(b) - {x}) | free_vars(t)))
-    for b, x, t in SUBSTITUTION_CASES
-)
 
 CHAIN_CASES: tuple[tuple[int, Formula], ...] = (
     (1, _fml("(x1 = 0)")),
@@ -674,7 +669,9 @@ def numeral_chain(
 
 # each law family is a tuple of cases, one per pinned item, each a partial
 # that carries what its item needs; a case gives the detail of the
-# violation it finds in one model, or None
+# violation it finds in one model, or None.  A case that sweeps assignments
+# sweeps the sorted free variables of what it evaluates: exists(x, b) for
+# duality, forall x . b for collapse, and forall x . b with t for substitution.
 
 
 def _truth_case(premises, conclusion, detail, m, mode):
@@ -753,13 +750,13 @@ LAWS = {
                   f"generalisation loses truth: {b} over x{x}")
           for x, b in GEN_CASES),
     ),
-    "duality": tuple(partial(_duality_case, x, b, exists(x, b), sorted(free_vars(b) | {x}))
-                     for x, b in DUALITY_CASES),
-    "substitution": tuple(
-        partial(_substitution_case, *case) for case in _SUBSTITUTIONS
-    ),
-    "collapse": tuple(partial(_collapse_case, x, b, _closure(ForAll(x, b)),
-                              sorted(free_vars(b) - {x})) for x, b in COLLAPSE_CASES),
+    "duality": tuple(partial(_duality_case, x, b, dual, sorted(free_vars(dual)))
+                     for x, b in DUALITY_CASES for dual in [exists(x, b)]),
+    "substitution": tuple(partial(_substitution_case, b, x, t, substitute(b, x, t),
+                                  sorted(free_vars(ForAll(x, b)) | free_vars(t)))
+                          for b, x, t in SUBSTITUTION_CASES),
+    "collapse": tuple(partial(_collapse_case, x, b, _closure(every), sorted(free_vars(every)))
+                      for x, b in COLLAPSE_CASES for every in [ForAll(x, b)]),
     "chain": tuple(partial(_chain_case, x, b) for x, b in CHAIN_CASES),
 }
 FAMILIES = tuple(LAWS)

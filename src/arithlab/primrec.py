@@ -205,8 +205,9 @@ def find_beta_coeffs(values: list[int], ceiling: int = 10**6) -> tuple[int, int]
     entries, solving the congruences by CRT, cut off once c passes the
     ceiling.  Once d is at least the first two entries and (1 + d)(1 + 2d)
     passes the ceiling, one candidate c is left, and it grows with d unless
-    those two are equal, so the search ends.  Raises PRError when nothing
-    fits under the ceiling.
+    those two are equal, so the search ends; when the second entry is the
+    larger, each later entry also bounds d in closed form.  Raises PRError
+    when nothing fits under the ceiling.
     """
     if not values:
         raise PRError("cannot code an empty sequence")
@@ -214,15 +215,24 @@ def find_beta_coeffs(values: list[int], ceiling: int = 10**6) -> tuple[int, int]
         raise PRError("sequence entries must be natural numbers")
     start = max(1, *(-(-v // (i + 1)) for i, v in enumerate(values)))
     tail = max(values[:2]) if len(values) > 1 else ceiling + 1
+    last = ceiling  # the last d that can fit in the tail (see there)
+    if len(values) > 1 and values[1] > values[0]:
+        b = 2 * (values[1] - values[0])
+        ks = [((i + 1) * (values[0] - v + b) - b, i + 1)
+              for i, v in enumerate(values[2:], 2)]
+        last = min([(abs(k) - 1) // n for k, n in ks if k], default=ceiling)
     for d in range(start, ceiling + 1):
         if d >= tail and (1 + d) * (1 + 2 * d) > ceiling:
             # 2(1 + d) = 1 mod 1 + 2d, so this is the one c under the
-            # ceiling that can fit the first two entries
+            # ceiling that can fit the first two entries.  When v1 > v0 it
+            # is v0 + b(1 + d), so (i+1)(c - vi) - b(1 + (i+1)d) is the
+            # constant k above, and 1 + (i+1)d divides c - vi only if it
+            # divides k: no d past last fits
             c = values[0] + 2 * (values[1] - values[0]) % (1 + 2 * d) * (1 + d)
             fits = all(c % (1 + i * d) == v for i, v in enumerate(values[2:], 3))
             if fits and c <= ceiling:
                 return c, d
-            if c > ceiling or values[1] == values[0]:  # no later d fits
+            if c > ceiling or values[1] == values[0] or d >= last:  # no later d fits
                 break
             continue
         moduli = [1 + (i + 1) * d for i in range(len(values))]

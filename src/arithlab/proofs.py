@@ -298,8 +298,8 @@ def _holds(checks: list, leaves: list, side, f: Formula) -> bool:
 
 def schema_instance(tag: str, **parts) -> Formula:
     """The tag's pattern with each metavariable replaced by its part: x by
-    a variable index, the others by formulas.  The side condition is not
-    checked here; check_axiom checks it."""
+    a variable index (an int, not a bool), the others by formulas.  The
+    side condition is not checked here; check_axiom checks it."""
     if tag not in SCHEMAS:
         raise ProofArgumentError(f"unknown axiom tag {tag!r}")
 
@@ -307,7 +307,14 @@ def schema_instance(tag: str, **parts) -> Formula:
         if p.__class__ is str:
             if p not in parts:
                 raise ProofArgumentError(f"schema {tag} needs a part {p}")
-            return parts[p]
+            part = parts[p]
+            if p == "x" and part.__class__ is not int:
+                raise ProofArgumentError(
+                    f"schema {tag} needs an int index for x, got {type(part).__name__}")
+            if p != "x" and not isinstance(part, Formula):
+                raise ProofArgumentError(
+                    f"schema {tag} needs a formula for {p}, got {type(part).__name__}")
+            return part
         if p.__class__ is tuple:
             return p[0](*map(fill, p[1:]))
         return p

@@ -45,6 +45,7 @@ from arithlab.syntax import (
     NodeValueError,
     parse_formula,
     parse_term,
+    tarski,
     to_text,
 )
 
@@ -571,6 +572,17 @@ def test_lawhunt_sweeps_run_their_cases_as_often_as_pinned(monkeypatch):
             runs[family] = len(readers)
         assert runs == pinned, (mode, eq)
     assert reports.hexdigest() == LAWHUNT_REPORTS_SHA256
+
+
+# a duality case sweeps the free variables of exists(x, b), and so not x,
+# which both of its sides bind; the top-level tarski calls show it
+@pytest.mark.parametrize("mode, calls", [("standard", 40), ("parameterized", 66)])
+def test_duality_sweeps_only_the_free_variables_of_its_dual(mode, calls, monkeypatch):
+    made = []
+    monkeypatch.setattr("arithlab.models.tarski",
+                        lambda *args: made.append(args) or tarski(*args))
+    metacheck(2, ("duality",), mode)
+    assert len(made) == calls
 
 
 @pytest.mark.parametrize("peek", [

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -228,6 +229,16 @@ def test_find_beta_coeffs_matches_the_full_scan():
         assert _beta_outcome(find_beta_coeffs, values, ceiling) == expected
         outcomes.append(isinstance(expected, tuple))
     assert 1000 < sum(outcomes) < 3000  # both answers are well represented
+
+
+def test_find_beta_coeffs_stops_at_the_tail_bound():
+    # v1 > v0, so in the tail entry 2 fits only where 1 + 3d divides
+    # 3(v0 - v2 + 2) - 2 = -2, which no d does: the search stops at the
+    # first d of the tail instead of walking on towards the ceiling
+    start = time.perf_counter()
+    with pytest.raises(PRError, match="no beta coefficients under 1000000"):
+        find_beta_coeffs([10, 11, 12, 13, 14, 15])
+    assert time.perf_counter() - start < 0.1
 
 
 # -------------------------------------------------------- representation

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from arithlab.corpus import build_all
+from arithlab.corpus import CorpusPathError, build_all, write_corpus
 from arithlab.proofs import (
     ALL_AXIOM_TAGS,
     Axiom,
@@ -258,6 +258,9 @@ def _mp_on_an_equation():
     return b.mp(n, n)
 
 
+_X1_IS_0 = parse_formula("(x1 = 0)")
+
+
 @pytest.mark.parametrize("call", [
     lambda: Axiom("A9"),
     lambda: check_axiom(parse_formula("(0 = 0)"), "A9"),
@@ -266,8 +269,14 @@ def _mp_on_an_equation():
     lambda: ProofBuilder().proper_instance("S1", [Zero()]),
     lambda: schema_instance("congruent"),
     lambda: schema_instance("A1", B=parse_formula("(0 = 0)")),
+    lambda: schema_instance("A4", x="1", B=_X1_IS_0, T=_X1_IS_0),
+    lambda: schema_instance("A4", x=True, B=_X1_IS_0, T=_X1_IS_0),
+    lambda: schema_instance("A4", x=1.0, B=_X1_IS_0, T=_X1_IS_0),
+    lambda: schema_instance("A1", B=Var(1), C=_X1_IS_0),
 ], ids=["axiom", "check_axiom", "conclusion", "mp", "proper_instance",
-        "schema_instance_tag", "schema_instance_part"])
+        "schema_instance_tag", "schema_instance_part", "schema_instance_str_index",
+        "schema_instance_bool_index", "schema_instance_float_index",
+        "schema_instance_term_part"])
 def test_misuse_raises_a_named_value_error(call):
     with pytest.raises(ProofArgumentError) as caught:
         call()
@@ -295,6 +304,14 @@ def test_corpus_all_accepted(corpus):
         result = check_proof(proof)
         assert result.accepted, f"{name}: {result.reason}"
         assert result.theorem == proof.conclusion
+
+
+def test_write_corpus_names_a_directory_no_file_can_have():
+    with pytest.raises(CorpusPathError) as caught:
+        write_corpus("\x00")
+    assert isinstance(caught.value, ArithlabError)
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == "cannot write to '\\x00': embedded null byte"
 
 
 def test_corpus_contains_one_plus_one(corpus):
