@@ -715,8 +715,9 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
     line is held against the conclusion first; then the lines are decoded
     and judged in order, and the first that fails ends the check.  All of
     them and the conclusion are interned in one table, so each formula is
-    looked up among the earlier ones by identity, and keys are spelled only
-    where the axiom schemas compare parts.
+    looked up among the earlier ones by identity, and the axiom schemas
+    compare parts by semantic_eq, which tries identity first; no key is
+    spelled.
     """
     try:
         if not isinstance(u, int) or not isinstance(x, int):

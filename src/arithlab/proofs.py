@@ -31,7 +31,10 @@ the metavariable each place binds; check_axiom, is_any_axiom (and so the
 arithmetized pf) read that, and schema_instance fills a pattern from its
 parts for the proof builders.  Formula comparison is up to the
 compact/expanded numeral distinction, so num(1) and S(0) are
-interchangeable in any slot.
+interchangeable in any slot.  The checker compares by syntax.semantic_eq,
+and decides A4 and IND by syntax.lockstep, which walks B beside the
+consequent (A4), or beside B0 and BS with 0 and S(x) for x (IND): it builds
+no substituted tree and spells no key.
 
 The checker walks the lines in order and reports either acceptance with
 the final formula as the theorem, or the first failing line and a reason.
@@ -52,8 +55,6 @@ from operator import attrgetter
 from .syntax import (
     Add,
     ArithlabError,
-    BigNumeral,
-    CaptureError,
     Eq,
     ForAll,
     Formula,
@@ -67,6 +68,7 @@ from .syntax import (
     Zero,
     canonical_key,
     free_vars,
+    lockstep,
     parse_formula,
     semantic_eq,
     substitute,
@@ -159,50 +161,23 @@ class ProofArgumentError(ArithlabError, ValueError):
 def find_instantiation(body: Formula, var: int, instance: Formula) -> Term | None:
     """The term t with body[x_var := t] == instance, if one exists.
 
-    Comparison is up to numeral form.  Returns Var(var) when x_var is not
-    free in body and instance equals body.  Returns None when no t works
-    (including when t would not be free for x_var in body).
+    Comparison is up to numeral form.  t is what instance has at body's
+    leftmost free x_var, or Var(var) when x_var is not free in body and
+    instance equals body.  Returns None when no t works (including when t
+    would not be free for x_var in body).
     """
-    # The only candidate is what instance has where body has its first free
-    # x_var, or x_var itself when there is none.  Walk the two in step, left
-    # first, past binders of x_var and places where they differ (there no
-    # t can work, and the check below says so); then check the whole.
-    t = Var(var)
-    pairs = [(body, instance)]
-    while pairs:
-        b, i = pairs.pop()
-        cls = b.__class__
-        if cls is Var:
-            if b.index == var:
-                t = i
-                break
-        elif cls is Succ and i.__class__ is BigNumeral and i.value > 0:
-            pairs.append((b.arg, BigNumeral(i.value - 1)))
-        elif cls is not i.__class__ or cls is Zero or cls is BigNumeral:
-            continue
-        elif cls is Succ:
-            pairs.append((b.arg, i.arg))
-        elif cls is Not:
-            pairs.append((b.body, i.body))
-        elif cls is ForAll:
-            if b.index != var and b.index == i.index:
-                pairs.append((b.body, i.body))
-        else:
-            pairs.append((b.right, i.right))
-            pairs.append((b.left, i.left))
-    try:
-        result = substitute(body, var, t)
-    except CaptureError:
+    t = lockstep(body, instance, var)
+    if t is False:
         return None
-    return t if semantic_eq(result, instance) else None
+    return Var(var) if t is True else t
 
 
 def _ind_holds(parts: dict) -> bool:
-    # B0 = B[0/x] and BS = B[S(x)/x].  Neither substitution can capture:
-    # the only variable of 0 and S(x) is x itself.
+    # B0 = B[0/x] and BS = B[S(x)/x].  Neither can capture: the only
+    # variable of 0 and S(x) is x itself.
     b, x = parts["B"], parts["x"]
-    base, step = substitute(b, x, Zero()), substitute(b, x, Succ(Var(x)))
-    return semantic_eq(parts["B0"], base) and semantic_eq(parts["BS"], step)
+    return (lockstep(b, parts["B0"], x, Zero()) is not False
+            and lockstep(b, parts["BS"], x, Succ(Var(x))) is not False)
 
 
 _x1, _x2, _x3 = Var(1), Var(2), Var(3)
@@ -276,7 +251,7 @@ _FLAT = {
 def _holds(checks: list, leaves: list, side, f: Formula) -> bool:
     """Whether f spells a flattened pattern and its bindings meet the side
     condition.  Every class is checked before any formula is compared; a
-    repeated metavariable or a fixed formula is compared by canonical key."""
+    repeated metavariable or a fixed formula is compared by semantic_eq."""
     for read, cls in checks:
         if read(f).__class__ is not cls:
             return False
@@ -284,14 +259,14 @@ def _holds(checks: list, leaves: list, side, f: Formula) -> bool:
     for leaf, read in leaves:
         e = read(f)
         if leaf.__class__ is not str:
-            if canonical_key(e) != canonical_key(leaf):
+            if not semantic_eq(e, leaf):
                 return False
         elif leaf not in parts:
             parts[leaf] = e
         elif e.__class__ is int:
             if e != parts[leaf]:
                 return False
-        elif canonical_key(e) != canonical_key(parts[leaf]):
+        elif not semantic_eq(e, parts[leaf]):
             return False
     return side is None or side(parts)
 

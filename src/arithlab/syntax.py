@@ -23,20 +23,24 @@ without materialising them.  num(0) is interchangeable with 0 everywhere.
 The node classes are frozen slotted classes written out by hand, so this
 module imports only re: __init__ sets each field once, through its slot
 descriptor, assigning or deleting a field raises AttributeError, pickle
-and copy.copy rebuild a node from its fields, and copy.deepcopy gives
-the node itself.  The parser takes its tokens from one regex pass; a
-token carries no position, so only a ParseError scans the text again to
-find where it is, and input that is not a str is a NotTextError.
+and copy.copy rebuild a node from a flat spelling of classes and ints, and
+copy.deepcopy gives the node itself.  The parser takes its tokens from one
+regex pass; a token carries no position, so only a ParseError scans the
+text again to find where it is, and input that is not a str is a
+NotTextError.
 
 Printing, keys, ==, official symbol strings and every rebuild of a tree go
 through spell, one explicit-stack traversal, and the parsers and free_vars
 keep explicit stacks too, so nesting depth is bounded by memory, never by
 Python's recursion limit.  == compares spellings: the printed one, with each
 index and numeral value an int piece.  Two keys are cached on a node: to_text,
-and canonical_key, with every numeral num(n), for semantic_eq and the hash.
-substitute carries the open binders of the replacement's variables along
-its one walk, and free_vars counts those of each index, so both take time
-linear in the nesting depth.  ArithlabError, the root of every error that
+and canonical_key, with every numeral num(n), for the hash and repr.
+semantic_eq spells no key: lockstep walks two trees in step and decides
+equality up to numeral form, or whether one is an instance of the other at
+a variable, with substitute's capture rule.  substitute carries the open
+binders of the replacement's variables along its one walk, and free_vars
+and lockstep count those of each index, so all three take time linear in
+the nesting depth.  ArithlabError, the root of every error that
 arithlab raises by name, its subclass Refusal, and tarski, the one Tarski
 relation, live here because every module imports this one.
 """
@@ -64,9 +68,9 @@ class _Node:
         raise AttributeError(f"cannot delete {name!r}: a node is immutable")
 
     def __reduce__(self):
-        # rebuilt from its fields, so pickle and copy run __init__'s checks
-        fields = self.__match_args__
-        return self.__class__, tuple([getattr(self, name) for name in fields])
+        # a flat spelling, rebuilt by one stack through __init__'s checks,
+        # so pickle and copy take any depth
+        return _unspelled, (spell(self, _PREFIX),)
 
     def __deepcopy__(self, memo):
         # immutable, so a deep copy is the node itself, at any depth
@@ -401,6 +405,30 @@ _CANON = {
 }
 
 
+def _prefix(e: _Node, out: list) -> list:
+    out.append(e.__class__)
+    return [getattr(e, name) for name in reversed(e.__match_args__)]
+
+
+# each node's class, then its fields in order, each int a piece
+_PREFIX = dict.fromkeys([Var, Zero, Succ, Add, Mul, BigNumeral, Eq, Not, Implies, ForAll],
+                        _prefix)
+
+
+def _unspelled(pieces: list) -> Expr:
+    """The tree spelled by _PREFIX, read from its end with one stack: a
+    class takes its fields off the top, first field topmost."""
+    stack: list = []
+    for piece in reversed(pieces):
+        if piece.__class__ is not int:
+            start = len(stack) - len(piece.__match_args__)
+            fields = stack[start:]
+            del stack[start:]
+            piece = piece(*reversed(fields))
+        stack.append(piece)
+    return stack[0]
+
+
 def _cached(e: Expr, slot: str, table: dict) -> str:
     key = getattr(e, slot, None)
     if key is None:
@@ -422,11 +450,6 @@ def canonical_key(e: Expr) -> str:
     canonical keys are equal.
     """
     return _cached(e, "_canon", _CANON)
-
-
-def semantic_eq(a: Expr, b: Expr) -> bool:
-    """Equality up to the compact/expanded numeral distinction."""
-    return canonical_key(a) == canonical_key(b)
 
 
 # --------------------------------------------------------------------------
@@ -715,6 +738,90 @@ def substitute(e: Expr, var: int, replacement: Term) -> Expr:
 
     table = {**_REBUILD, Var: variable, ForAll: forall, type(None): close}
     return spell(e, table)[0]
+
+
+_NUMERALS = (Succ, Zero, BigNumeral)
+_PAIRS = (Add, Mul, Eq, Implies)
+_CLOSE = object()  # on lockstep's work list, over the index it closes
+
+
+def lockstep(a: Expr, b: Expr, var: int = 0, t: Term | None = None) -> Term | bool:
+    """Whether b is a[t/x_var] up to numeral form, by one walk of the two
+    trees in step that builds no substituted tree and spells no key.
+
+    t is the given term, or else what b has at a's leftmost free x_var.
+    Returns False when b is no such instance, or when t is not free for
+    x_var in a (the capture rule of substitute); otherwise t, or True when
+    a has no free x_var.  With var 0, which no variable has, it decides
+    equality up to numeral form.  Under a var the open binders are counted
+    per index, as free_vars does, so the walk is linear in the trees' size.
+    """
+    exposed = () if t is None else free_vars(t)
+    bound: dict[int, int] = {}  # open binders per index; a close shuts one
+    pairs: list = [(a, b)]
+    pop, push = pairs.pop, pairs.append
+    while pairs:
+        x, y = pop()
+        if x is y and not var:
+            continue
+        cls = x.__class__
+        if cls is Var and x.index == var and not bound.get(var):
+            if t is None:
+                t, exposed = y, free_vars(y)
+            elif t is not y and not lockstep(t, y):
+                return False
+            if any(bound.get(v) for v in exposed):
+                return False
+        elif cls is y.__class__:
+            if cls is Succ:
+                push((x.arg, y.arg))
+            elif cls is Var:
+                if x.index != y.index:
+                    return False
+            elif cls in _PAIRS:
+                push((x.right, y.right))
+                push((x.left, y.left))
+            elif cls is Not:
+                push((x.body, y.body))
+            elif cls is ForAll:
+                if x.index != y.index:
+                    return False
+                if var:
+                    bound[x.index] = bound.get(x.index, 0) + 1
+                    push((_CLOSE, x.index))
+                push((x.body, y.body))
+            elif cls is BigNumeral:
+                if x.value != y.value:
+                    return False
+            elif cls is not Zero:
+                raise NotATreeError(f"not a term or formula: {x!r}")
+        elif x is _CLOSE:
+            bound[y] -= 1
+        elif not isinstance(x, _Node) or not isinstance(y, _Node):
+            bad = y if isinstance(x, _Node) else x
+            raise NotATreeError(f"not a term or formula: {bad!r}")
+        elif cls in _NUMERALS or y.__class__ in _NUMERALS:
+            m, n = numeral_value(x), numeral_value(y)
+            if m is None and n is not None and var:
+                # a may be S^k over a free x_var: t is then b's term k down
+                k = 0
+                while x.__class__ is Succ:
+                    k, x = k + 1, x.arg
+                if k > n or x.__class__ is not Var or x.index != var or bound.get(var):
+                    return False
+                while k and y.__class__ is Succ:
+                    k, y = k - 1, y.arg
+                push((x, BigNumeral(y.value - k) if k else y))
+            elif m is None or m != n:
+                return False
+        else:
+            return False
+    return True if t is None else t
+
+
+def semantic_eq(a: Expr, b: Expr) -> bool:
+    """Equality up to the compact/expanded numeral distinction."""
+    return a is b or lockstep(a, b)
 
 
 # --------------------------------------------------------------------------

@@ -410,6 +410,19 @@ def test_deep_nesting_round_trips_through_codes(kinds):
     assert back == e
 
 
+@pytest.mark.parametrize("kinds", ["+", "S", "~", "A", "+S~A"])
+def test_deep_trees_and_big_numerals_pickle_and_copy(kinds):
+    deep = parse(_deep_text(random.Random(kinds), 10**4, kinds))
+    for node in (deep, numeral(10**40)):
+        try:
+            twins = [pickle.loads(pickle.dumps(node)), copy.copy(node)]
+        except RecursionError:
+            twins = []  # reported outside the handler, as in the repr test
+        assert len(twins) == 2
+        for twin in twins:
+            assert twin == node and twin is not node
+
+
 @pytest.fixture()
 def default_digit_limit():
     # the limit can be set for the process (PYTHONINTMAXSTRDIGITS, -X)
