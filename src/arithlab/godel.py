@@ -32,14 +32,20 @@ and two sequence encodings:
               plus one as a self-delimiting (Elias gamma) chunk; the
               numeral for n is the chunk 1 followed by the chunk n, so it
               costs O(log n) bits and diagonal-sized codes stay workable.
-              The chunks of the eleven fixed symbols are read and written
-              through one table per scheme, looked up as bit strings
+              Encoding spells a tree straight into chunks; decoding splits
+              the stream with one compiled pattern and maps the pieces
+              through one table per scheme, reading as numbers only the
+              pieces it lacks.  Where the pattern cannot go on, at a
+              chunk too wide for it or a cut, the rest of the stream is
+              split chunk by chunk
 
-Decoding folds every numeral into one run, then reads the official string
-with one stack of open parentheses: each ')' reduces what follows its '('
-to a value.  Numerals up to EXPAND_MAX come back as explicit S chains,
-larger ones as num(n) nodes.  Each value is interned (hash-consed) in a
-table, so trees read into one table that spell alike are one object.
+Decoding folds every numeral into one run (a pairing stream the pattern
+split whole only when it holds a successor wrapper around a numeral), then
+reads the official string with one stack of open parentheses: each ')'
+reduces what follows its '(' to a value.  Numerals up to EXPAND_MAX come
+back as explicit S chains, larger ones as num(n) nodes.  Each value is
+interned (hash-consed) in a table, so trees read into one table that spell
+alike are one object.
 
 The same two-layer scheme encodes proofs: a proof code is the sequence
 code of its line formulas' expression codes.  Justifications are not
@@ -59,6 +65,7 @@ on arbitrary input.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from . import proofs as _proofs
@@ -203,42 +210,53 @@ def _numeral_token(n: int) -> Token:
     return ZERO_CONST if n == 0 else ("numrun", n)
 
 
-def _applied(symbol: Symbol):
-    # symbol ( left , right )
-    def entry(e, out: list) -> list:
-        out += (symbol, LPAREN)
-        return [RPAREN, e.right, COMMA, e.left]
+def _spelling(piece) -> dict:
+    """spell's table for the official string, with each token written as
+    piece(token)."""
+    lparen, rparen, comma, imp = map(piece, (LPAREN, RPAREN, COMMA, IMP))
+    negation, quantifier = (lparen, piece(NEG)), (lparen, lparen, piece(FORALL))
+    zero = piece(ZERO_CONST)
 
-    return entry
+    def numeral(n: int):
+        return piece(_numeral_token(n))
+
+    def applied(symbol: Symbol):
+        # symbol ( left , right )
+        opening = (piece(symbol), lparen)
+
+        def entry(e, out: list) -> list:
+            out += opening
+            return [rparen, e.right, comma, e.left]
+
+        return entry
+
+    def negated(e: Not, out: list) -> list:
+        out += negation
+        return [rparen, e.body]
+
+    def implication(e: Implies, out: list) -> list:
+        out.append(lparen)
+        return [rparen, e.right, imp, e.left]
+
+    def generalization(e: ForAll, out: list) -> list:
+        out += (*quantifier, piece(("var", e.index)), rparen)
+        return [rparen, e.body]
+
+    return {
+        Var: lambda e, out: out.append(piece(("var", e.index))),
+        Zero: lambda e, out: out.append(zero),
+        BigNumeral: lambda e, out: out.append(numeral(e.value)),
+        Succ: succ_entry([piece(SUCC_FN), lparen], [rparen], numeral),
+        Add: applied(ADD_FN),
+        Mul: applied(MUL_FN),
+        Eq: applied(EQ_PRED),
+        Not: negated,
+        Implies: implication,
+        ForAll: generalization,
+    }
 
 
-def _negation(e: Not, out: list) -> list:
-    out += (LPAREN, NEG)
-    return [RPAREN, e.body]
-
-
-def _implication(e: Implies, out: list) -> list:
-    out.append(LPAREN)
-    return [RPAREN, e.right, IMP, e.left]
-
-
-def _generalization(e: ForAll, out: list) -> list:
-    out += (LPAREN, LPAREN, FORALL, ("var", e.index), RPAREN)
-    return [RPAREN, e.body]
-
-
-_OFFICIAL = {
-    Var: lambda e, out: out.append(("var", e.index)),
-    Zero: lambda e, out: out.append(ZERO_CONST),
-    BigNumeral: lambda e, out: out.append(_numeral_token(e.value)),
-    Succ: succ_entry([SUCC_FN, LPAREN], [RPAREN], _numeral_token),
-    Add: _applied(ADD_FN),
-    Mul: _applied(MUL_FN),
-    Eq: _applied(EQ_PRED),
-    Not: _negation,
-    Implies: _implication,
-    ForAll: _generalization,
-}
+_OFFICIAL = _spelling(lambda symbol: symbol)
 
 
 def official_tokens(e: Expr) -> list[Token]:
@@ -496,27 +514,98 @@ def _gamma_bits(n: int) -> str:
     return "0" * (len(b) - 1) + b
 
 
-# The chunk of each fixed symbol (its code plus one), per scheme, and the
-# symbol of each such chunk.
+# The chunk of each fixed symbol (its code plus one), per scheme.
 _CHUNKS = {
     scheme: {sym: _gamma_bits(code + 1) for sym, code in codes.items()}
     for scheme, codes in _SYMBOL_CODES.items()
 }
-_CHUNK_SYMBOLS = {
-    scheme: {chunk: sym for sym, chunk in chunks.items()}
-    for scheme, chunks in _CHUNKS.items()
-}
 
 
-def _chunks(code: int) -> list[str]:
-    """The Elias gamma chunks of a pairing code's bit stream, as strings."""
+def _chunk_of(scheme: str):
+    """The one rule from a token to its piece of the bit stream under
+    scheme: a symbol's chunk, a fixed symbol's from _CHUNKS, and for a
+    numeral run the chunk 1, then the run's chunk."""
+    config = NumberingConfig(scheme, "pairing")
+    fixed = _CHUNKS[scheme].get
+
+    def piece(tok: Token) -> str:
+        chunk = fixed(tok)
+        if chunk is not None:
+            return chunk
+        if tok[0] == "numrun":
+            return "1" + _gamma_bits(tok[1])
+        return _gamma_bits(sym_code(tok, config) + 1)
+
+    return piece
+
+
+class _ChunkSymbols(dict):
+    """The symbol of each fixed symbol's chunk under one scheme.  A piece
+    the table lacks is read as a number: the chunk 1 with a numeral run's
+    chunk after it, a variable's chunk, or no symbol's."""
+
+    def __init__(self, scheme: str) -> None:
+        super().__init__((chunk, sym) for sym, chunk in _CHUNKS[scheme].items())
+        self.config = NumberingConfig(scheme, "pairing")
+
+    def __missing__(self, piece: str) -> Token:
+        if piece[0] == "1":
+            if len(piece) == 1:
+                raise NotACodeError("sequence ends inside a numeral run")
+            return ("numrun", int(piece[1:], 2))
+        return _symbol(int(piece, 2) - 1, self.config)
+
+
+def _gamma_pattern(zeros: int) -> str:
+    """The chunks of 1 to zeros leading zeros, as nested alternatives,
+    0(?:1.|0(?:1..|0(?:1...|...))), so that a chunk's zeros are read once.
+    bin() writes only 0s and 1s, so '.' stands for a bit."""
+    pattern = "01" + "." * zeros
+    for k in range(zeros - 1, 0, -1):
+        pattern = f"0(?:1{'.' * k}|{pattern})"
+    return pattern
+
+
+def _wrapped(piece) -> re.Pattern:
+    """f_1^1 ( then the zero constant, or then the chunk 1 of a numeral run.
+    A stream where this is not found has no successor wrapper to fold, and
+    a match across chunk boundaries only costs a needless fold.  The search
+    looks for the bits from the first 1 of f_1^1 on, which a long run of
+    zeros cannot slow, and then looks back for the zeros before them."""
+    wrapper = piece(SUCC_FN) + piece(LPAREN)
+    return re.compile(f"{wrapper.lstrip('0')}(?<={wrapper})(?:{piece(ZERO_CONST)}|1)")
+
+
+# The widest chunk _PIECES splits off: this many zeros, then one more bit.
+# Under either scheme that covers the fixed symbols, x_1 to x_62 and numeral
+# runs up to 511, so every chunk of the corpus proofs; a stream with a wider
+# chunk is split chunk by chunk from there.  A wider pattern would only
+# compile slower: the numerals of diagonal codes are far wider still.
+_PIECE_ZEROS = 8
+# One piece per token: a chunk, or the chunk 1 that announces a numeral run
+# together with the run's chunk.  Where no such piece starts, the rest of the
+# stream is one last piece (taken at once, as the pattern is DOTALL): a chunk
+# wider than _PIECE_ZEROS, or a cut one.
+_PIECES = re.compile("1(?:1|{0})?|{0}|.+".format(_gamma_pattern(_PIECE_ZEROS)), re.S)
+_CHUNK_OF = {scheme: _chunk_of(scheme) for scheme in SCHEMES}
+_CHUNKED = {scheme: _spelling(piece) for scheme, piece in _CHUNK_OF.items()}
+_CHUNK_SYMBOLS = {scheme: _ChunkSymbols(scheme) for scheme in SCHEMES}
+_WRAPPED = {scheme: _wrapped(piece).search for scheme, piece in _CHUNK_OF.items()}
+
+
+def _stream(code: int) -> str:
+    """The bit stream of a pairing code: its bits after the leading 1."""
     if code < 1:
         raise NotACodeError("pairing codes are positive")
-    bits = bin(code)[3:]
+    return bin(code)[3:]
+
+
+def _chunks(bits: str, start: int = 0) -> list[str]:
+    """The Elias gamma chunks of a bit stream from start on, as strings."""
     find = bits.find
     size = len(bits)
     chunks = []
-    i = 0
+    i = start
     while i < size:
         one = find("1", i)
         end = 2 * one - i + 1  # n leading zeros announce an (n+1)-bit chunk
@@ -545,7 +634,7 @@ def _encode_sequence(values: list[int], config: NumberingConfig) -> int:
 def _decode_sequence(code: int, config: NumberingConfig) -> list[int]:
     if config.seq == "prime":
         return _decode_prime_sequence(code)
-    return [int(chunk, 2) for chunk in _chunks(code)]
+    return [int(chunk, 2) for chunk in _chunks(_stream(code))]
 
 
 # --------------------------------------------------------------------------
@@ -562,17 +651,7 @@ def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
     if config.seq == "prime":
         values = [sym_code(s, config) for s in _expand_tokens(tokens)]
         return _encode_prime_sequence(values)
-    chunks = _CHUNKS[config.scheme]
-    parts = ["1"]
-    for tok in tokens:
-        chunk = chunks.get(tok)
-        if chunk is not None:
-            parts.append(chunk)
-        elif tok[0] == "numrun":
-            parts += ("1", _gamma_bits(tok[1]))
-        else:
-            parts.append(_gamma_bits(sym_code(tok, config) + 1))
-    return int("".join(parts), 2)
+    return int("1" + "".join(map(_CHUNK_OF[config.scheme], tokens)), 2)
 
 
 def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
@@ -581,24 +660,27 @@ def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
         return _normalize_tokens(
             [_symbol(value, config) for value in _decode_prime_sequence(code)]
         )
-    # a fixed symbol's chunk is looked up as it stands; a variable's or a
-    # numeral run's is read as a number.  The whole stream is split first,
-    # so a cut-off stream is reported as such whatever symbols precede the cut
-    symbols = _CHUNK_SYMBOLS[config.scheme]
-    tokens: list[Token] = []
-    chunks = iter(_chunks(code))
-    for chunk in chunks:
-        symbol = symbols.get(chunk)
-        if symbol is None:
-            value = int(chunk, 2) - 1
-            if value == 0:
-                run = next(chunks, None)
-                if run is None:
-                    raise NotACodeError("sequence ends inside a numeral run")
-                symbol = ("numrun", int(run, 2))
+    bits = _stream(code)
+    pieces = _PIECES.findall(bits)
+    last = pieces[-1] if pieces else "1"  # code 1 has the empty stream
+    zeros = last.find("1")
+    split = last[0] == "1" or zeros <= _PIECE_ZEROS and len(last) == 2 * zeros + 1
+    if not split:
+        # the last piece is the rest of a stream that holds a chunk wider
+        # than _PIECES splits, or is cut off inside a chunk: split that rest
+        # chunk by chunk, before any piece is read, so that a cut is
+        # reported as such whatever symbols precede it
+        rest = pieces.pop()
+        for chunk in _chunks(bits, len(bits) - len(rest)):
+            if pieces and pieces[-1] == "1":  # a numeral run's marker
+                pieces[-1] += chunk
             else:
-                symbol = _symbol(value, config)
-        tokens.append(symbol)
+                pieces.append(chunk)
+    tokens = list(map(_CHUNK_SYMBOLS[config.scheme].__getitem__, pieces))
+    # The search for a successor wrapper reads every bit, a wide chunk's too,
+    # so a stream that needed the chunk loop is folded without it.
+    if split and not _WRAPPED[config.scheme](bits):
+        return tokens
     return _normalize_tokens(tokens)
 
 
@@ -611,7 +693,9 @@ def _symbol(value: int, config: NumberingConfig) -> Symbol:
 
 def encode_expr(e: Expr, config: NumberingConfig = DEFAULT_CONFIG) -> int:
     """The code of e's official symbol string."""
-    return _encode_tokens(official_tokens(e), config)
+    if config.seq == "prime":
+        return _encode_tokens(official_tokens(e), config)
+    return int("1" + "".join(spell(e, _CHUNKED[config.scheme])), 2)
 
 
 def decode_expr(code: int, config: NumberingConfig = DEFAULT_CONFIG) -> Expr:
@@ -712,7 +796,8 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
     Total: any malformed input yields False, never an exception.  A proof
     here is a nonempty formula sequence in which every formula is an
     axiom instance or follows from earlier entries by MP or GEN.  The last
-    line is held against the conclusion first; then the lines are decoded
+    line is held against the conclusion first, which is decoded only when
+    its code is not the last line's; then the lines are decoded
     and judged in order, and the first that fails ends the check.  All of
     them and the conclusion are interned in one table, so each formula is
     looked up among the earlier ones by identity, and the axiom schemas
@@ -731,7 +816,8 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
             return _parse_tokens(_decode_tokens(code, config), table)
 
         last = decode(line_codes[-1])
-        if not isinstance(last, Formula) or decode(x) is not last:
+        # one code decodes to one interned tree, so only another code is read
+        if not isinstance(last, Formula) or x != line_codes[-1] and decode(x) is not last:
             return False
         earlier: set[int] = set()  # ids of the lines judged so far
         # id of B -> ids of A, for each earlier line (A -> B)

@@ -506,6 +506,8 @@ def parse(text: str) -> Expr:
     tokens = _TOKEN_RE.findall(text)
     tokens.append("")  # the end of input
     i = 0
+    # The leaves built so far, by token: 0 and each xN, each built once.
+    leaves: dict[str, Term] = {}
     # Constructions waiting for a value, innermost last.
     frames: list[tuple] = []
     want = "item"  # what the next value must be: "item", "term" or "formula"
@@ -544,11 +546,14 @@ def parse(text: str) -> Expr:
             frames.append(("S", depth))
             want = "term"
             continue
-        if token == "0":
-            value = Zero()
+        value = leaves.get(token)
+        if value is not None:
+            i += 1
+        elif token == "0":
+            value = leaves[token] = Zero()
             i += 1
         elif token[:1] == "x" and token[1:2] in _DIGITS:
-            value = Var(_index(text, tokens, i))
+            value = leaves[token] = Var(_index(text, tokens, i))
             i += 1
         elif token == "num":
             if tokens[i + 1] != "(":

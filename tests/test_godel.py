@@ -514,6 +514,36 @@ def test_meta_pf_stops_at_the_first_underivable_line(monkeypatch):
     assert 0 < len(decoded) <= 4
 
 
+def test_meta_pf_reads_each_line_once(corpus, monkeypatch):
+    decoded = []
+    parse_tokens = godel._parse_tokens
+
+    def counted(tokens, table=None):
+        decoded.append(tokens)
+        return parse_tokens(tokens, table)
+
+    monkeypatch.setattr(godel, "_parse_tokens", counted)
+    for config in (MEND_PAIR, COMPACT_PAIR):
+        for proof in corpus.values():
+            u = encode_proof(proof, config)
+            x = encode_expr(proof.conclusion, config)
+            decoded.clear()
+            assert meta_pf(u, x, config) is True
+            # a conclusion with the last line's code is that line's tree
+            assert len(decoded) == len(proof.lines)
+    # a conclusion whose numerals are spelled with successor wrappers has
+    # another code: it is read too, and is the last line's tree
+    proof = corpus["one_plus_one"]
+    tokens = []
+    for tok in official_tokens(proof.conclusion):
+        tokens += successors(tok[1], ZERO_CONST) if tok[0] == "numrun" else [tok]
+    x = pairing_code(tokens)
+    assert x != encode_expr(proof.conclusion, MEND_PAIR)
+    decoded.clear()
+    assert meta_pf(encode_proof(proof, MEND_PAIR), x, MEND_PAIR) is True
+    assert len(decoded) == len(proof.lines) + 1
+
+
 def test_decoding_into_one_table_interns_equal_trees(corpus):
     def eq(left, right):
         return [EQ_PRED, LPAREN, *left, COMMA, *right, RPAREN]

@@ -125,6 +125,17 @@ def test_forall_body_binds_tightly():
     assert isinstance(f.left, ForAll)
 
 
+def test_parse_builds_each_leaf_once_per_call():
+    f = parse_formula("forall x2 . ((x1 + 0) = (x1 * (x2 + 0)))")
+    body = f.body
+    assert body.left.left is body.right.left  # x1
+    assert body.left.right is body.right.right.right  # 0
+    assert body.right.right.left == Var(2)
+    # no leaf outlives its call
+    again = parse_formula("forall x2 . ((x1 + 0) = (x1 * (x2 + 0)))")
+    assert again == f and again.body.left.left is not body.left.left
+
+
 def test_parse_error_reports_position():
     with pytest.raises(ParseError) as exc:
         parse_formula("(x1 = %)")
