@@ -453,6 +453,8 @@ _primes: list[int] = [2, 3, 5, 7, 11, 13]
 
 def nth_prime(i: int) -> int:
     """The i-th prime, 0-based."""
+    if i < 0:
+        raise NumberingError(f"prime index must be >= 0, got {i}")
     candidate = _primes[-1]
     while len(_primes) <= i:
         candidate += 2

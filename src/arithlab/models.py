@@ -259,6 +259,8 @@ def _apply_succ(m: Interpretation, v: int, k: int) -> int:
 
 def numeral_value_in(m: Interpretation, n: int) -> int:
     """Value of the numeral for n (handles astronomically large n)."""
+    if n < 0:
+        raise ModelError(f"numerals exist for n >= 0 only, got {n}")
     return _apply_succ(m, m.zero, n)
 
 
@@ -316,8 +318,8 @@ def _value(m: Interpretation, t: Term, env: Assignment) -> int:
             succs += 1
             t = t.arg
         return _apply_succ(m, _value(m, t, env), succs)
-    if cls is BigNumeral:
-        return numeral_value_in(m, t.value)
+    if cls is BigNumeral:  # its value is never negative
+        return _apply_succ(m, m.zero, t.value)
     raise NotATreeError(f"not a term: {t!r}")
 
 

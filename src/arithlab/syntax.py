@@ -32,9 +32,10 @@ NotTextError.
 Printing, keys, ==, official symbol strings and every rebuild of a tree go
 through spell, one explicit-stack traversal, and the parsers and free_vars
 keep explicit stacks too, so nesting depth is bounded by memory, never by
-Python's recursion limit.  == compares spellings: the printed one, with each
-index and numeral value an int piece.  Two keys are cached on a node: to_text,
-and canonical_key, with every numeral num(n), for the hash and repr.
+Python's recursion limit.  == and the hash read the spelling that pickle and
+copy rebuild from: each node's class, then its fields, each index and numeral
+value an int piece.  Only the printed text, to_text, is cached on a node;
+canonical_key, with every numeral num(n), is spelled on demand for repr.
 semantic_eq spells no key: lockstep walks two trees in step and decides
 equality up to numeral form, or whether one is an instance of the other at
 a variable, with substitute's capture rule.  substitute carries the open
@@ -58,7 +59,7 @@ class _Node:
     descriptor.
     """
 
-    __slots__ = ("_text", "_canon")
+    __slots__ = ("_text",)
     __match_args__: tuple[str, ...] = ()
 
     def __setattr__(self, name, value):
@@ -79,10 +80,10 @@ class _Node:
     def __eq__(self, other):
         if not isinstance(other, _Node):
             return NotImplemented
-        return spell(self, _SAME) == spell(other, _SAME)
+        return spell(self, _PREFIX) == spell(other, _PREFIX)
 
     def __hash__(self) -> int:
-        return hash(canonical_key(self))
+        return hash(tuple(spell(self, _PREFIX)))
 
     def __str__(self) -> str:
         return to_text(self)
@@ -184,6 +185,7 @@ _set_left, _set_right = _Pair.left.__set__, _Pair.right.__set__
 _set_var_index, _set_value = Var.index.__set__, BigNumeral.value.__set__
 _set_arg, _set_not_body = Succ.arg.__set__, Not.body.__set__
 _set_forall_index, _set_forall_body = ForAll.index.__set__, ForAll.body.__set__
+_set_text = _Node._text.__set__
 
 
 Expr = Term | Formula
@@ -389,14 +391,6 @@ _TEXT = {
     Implies: _infix(" -> "),
     ForAll: _forall_text,
 }
-# == compares these spellings: S(0) is not num(1), and an index or a
-# numeral value is an int piece, so no digit limit applies
-_SAME = {
-    **_TEXT,
-    Var: lambda e, out: out.extend(("x", e.index)),
-    BigNumeral: lambda e, out: out.extend(("num(", e.value, ")")),
-    ForAll: lambda e, out: [e.body, " . ", e.index, "forall x"],
-}
 _CANON = {
     **_TEXT,
     Zero: lambda e, out: out.append("num(0)"),
@@ -410,7 +404,9 @@ def _prefix(e: _Node, out: list) -> list:
     return [getattr(e, name) for name in reversed(e.__match_args__)]
 
 
-# each node's class, then its fields in order, each int a piece
+# each node's class, then its fields in order, each int a piece: what ==,
+# the hash, pickle and copy read, so S(0) is not num(1) and no digit limit
+# applies
 _PREFIX = dict.fromkeys([Var, Zero, Succ, Add, Mul, BigNumeral, Eq, Not, Implies, ForAll],
                         _prefix)
 
@@ -429,27 +425,22 @@ def _unspelled(pieces: list) -> Expr:
     return stack[0]
 
 
-def _cached(e: Expr, slot: str, table: dict) -> str:
-    key = getattr(e, slot, None)
-    if key is None:
-        key = "".join(spell(e, table))
-        object.__setattr__(e, slot, key)
-    return key
-
-
 def to_text(e: Expr) -> str:
     """The printed spelling of e, cached on e."""
-    return _cached(e, "_text", _TEXT)
+    text = getattr(e, "_text", None)
+    if text is None:
+        text = "".join(spell(e, _TEXT))
+        _set_text(e, text)
+    return text
 
 
 def canonical_key(e: Expr) -> str:
-    """The spelling of e with every numeral as num(n), n in hexadecimal,
-    cached on e.
+    """The spelling of e with every numeral as num(n), n in hexadecimal.
 
     Two trees denote the same official expression exactly when their
     canonical keys are equal.
     """
-    return _cached(e, "_canon", _CANON)
+    return "".join(spell(e, _CANON))
 
 
 # --------------------------------------------------------------------------

@@ -166,6 +166,13 @@ def test_nth_prime():
     assert nth_prime(99) == 541
 
 
+@pytest.mark.parametrize("i", [-1, -3, -10**6])
+def test_nth_prime_of_a_negative_index_is_a_named_error(i):
+    # not a prime read from the cache's far end
+    with pytest.raises(NumberingError, match=f"^prime index must be >= 0, got {i}$"):
+        nth_prime(i)
+
+
 # ------------------------------------------------------ expression codes
 
 def test_zero_code_frozen_value():

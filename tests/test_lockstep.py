@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from arithlab import godel
+from arithlab import godel, syntax
 from arithlab.corpus import build_all
 from arithlab.proofs import (
     check_axiom,
@@ -180,37 +180,27 @@ def test_induction_is_checked_against_substitute():
     assert 300 < held < 700
 
 
-def _uncached(e) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if getattr(node, "_canon", None) is not None:
-            return False
-        stack += [getattr(node, name) for name in node.__match_args__
-                  if not isinstance(getattr(node, name), int)]
-    return True
-
-
 PAIRING = godel.NumberingConfig(seq="pairing")
 
 
 def test_the_kernel_and_pf_spell_no_keys(monkeypatch):
-    decoded = []
-    parse_tokens = godel._parse_tokens
+    built = build_all()  # ProofBuilder keys the lines it builds
+    keyed = []
+    spell = syntax.spell
 
-    def recording(tokens, table=None):
-        decoded.append(parse_tokens(tokens, table))
-        return decoded[-1]
+    def watched(e, table):
+        # canonical_key and repr spell under _CANON, and nothing else does
+        if table is syntax._CANON:
+            keyed.append(e)
+        return spell(e, table)
 
-    monkeypatch.setattr(godel, "_parse_tokens", recording)
-    for name, proof in sorted(build_all().items()):
+    monkeypatch.setattr(syntax, "spell", watched)
+    for name, proof in sorted(built.items()):
         parsed = parse_proof(format_proof(proof))
         assert check_proof(parsed).accepted, name
         code = godel.encode_proof(parsed, PAIRING)
         assert godel.meta_pf(code, godel.encode_expr(parsed.conclusion, PAIRING), PAIRING), name
-        for line in parsed.lines:
-            assert _uncached(line.formula), (name, line.number)
-    assert decoded and all(_uncached(e) for e in decoded)
+        assert not keyed, name
 
 
 def test_semantic_eq_of_a_non_tree_is_a_named_error():

@@ -121,6 +121,13 @@ def test_numeral_value_in_long_orbit():
     assert numeral_image(m) == (0, 1, 2)
 
 
+def test_numeral_value_in_of_a_negative_number_is_a_named_error():
+    # as meta_num refuses one: no numeral, so not the zero of the model
+    for n in (-1, -10**9):
+        with pytest.raises(ModelError, match=f"^numerals exist for n >= 0 only, got {n}$"):
+            numeral_value_in(STANDARD_TWO, n)
+
+
 def test_term_value_standard():
     env = {1: 1, 2: 0}
     t = parse_term("((x1 + S(0)) * x1)")

@@ -55,14 +55,16 @@ def test_round_trip_random_formulas():
     rng = random.Random(5150)
     for _ in range(300):
         f = rand_formula(rng, rng.randint(0, 5))
-        assert parse_formula(to_text(f)) == f
+        back = parse_formula(to_text(f))
+        assert back == f and hash(back) == hash(f)
 
 
 def test_round_trip_random_terms():
     rng = random.Random(5151)
     for _ in range(300):
         t = rand_term(rng, rng.randint(0, 4))
-        assert parse_term(to_text(t)) == t
+        back = parse_term(to_text(t))
+        assert back == t and hash(back) == hash(t)
 
 
 def test_round_trip_pinned_strings():
@@ -349,6 +351,19 @@ def test_expand_numerals_past_its_limit_raises_a_named_error():
     assert issubclass(NumeralLimitError, SyntaxToolError)
 
 
+def test_respelled_numerals_are_unequal_yet_denote_alike():
+    # each num(n) as an S chain over 0: a new spelling, the same numeral
+    rng = random.Random(2502)
+    respelled = 0
+    for _ in range(300):
+        e = rand_formula(rng, rng.randint(0, 4), max_numeral=40)
+        chains = expand_numerals(e)
+        if chains is not e:
+            respelled += 1
+            assert chains != e and e != chains and semantic_eq(chains, e)
+    assert respelled > 150
+
+
 def test_semantic_eq_ignores_numeral_spelling():
     assert semantic_eq(parse_term("S(S(0))"), numeral(2))
     assert semantic_eq(parse_formula("(S(0) = x1)"),
@@ -432,6 +447,7 @@ def test_deep_trees_and_big_numerals_pickle_and_copy(kinds):
         assert len(twins) == 2
         for twin in twins:
             assert twin == node and twin is not node
+            assert hash(twin) == hash(node)
 
 
 @pytest.fixture()
