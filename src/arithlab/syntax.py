@@ -805,8 +805,6 @@ def lockstep(a: Expr, b: Expr, var: int = 0, t: Term | None = None) -> Term | bo
                     k, x = k + 1, x.arg
                 if k > n or x.__class__ is not Var or x.index != var or bound.get(var):
                     return False
-                while k and y.__class__ is Succ:
-                    k, y = k - 1, y.arg
                 push((x, BigNumeral(y.value - k) if k else y))
             elif m is None or m != n:
                 return False

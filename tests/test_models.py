@@ -35,6 +35,7 @@ from arithlab.models import (
     satisfies,
     term_value,
     _apply_succ,
+    _decide,
     _equivalences,
     _model,
     _Reader,
@@ -73,6 +74,10 @@ def test_normal_property():
         size=2, zero=0, succ=(1, 0), add=((0, 1), (1, 0)),
         mul=((0, 0), (0, 1)), eq=((1, 1), (1, 1)))
     assert not skew.normal
+
+
+def test_an_interpretation_prints_in_the_file_format():
+    assert str(STANDARD_TWO) == format_interpretation(STANDARD_TWO)
 
 
 def test_format_parse_round_trip():
@@ -496,14 +501,32 @@ def _direct_violations(sweep, families, mode):
     )
 
 
+def _swapped(size: int, cells: tuple[int, ...]) -> tuple[int, ...]:
+    """The cells of the image of the model of these cells under the swap
+    (0 z) of its domain, z its zero: a model whose zero is 0."""
+    m = _model(size, cells)
+    s, domain = list(range(size)), range(size)
+    s[0], s[m.zero] = m.zero, 0
+    return (s[m.zero], *(s[m.succ[s[a]]] for a in domain),
+            *(s[t[s[a]][s[b]]] for t in (m.add, m.mul) for a in domain for b in domain),
+            *(m.eq[s[a]][s[b]] for a in domain for b in domain))
+
+
 def _thinned(monkeypatch, strides):
-    """Make metacheck sweep the cells of every strides[size]-th model, and
-    return that enumeration as models.  Every case run on every model costs
-    about 3 ms a model for the ten families, so a full size-2 sweep would
-    take 6 s a mode."""
+    """Make metacheck sweep the cells of every strides[size]-th model whose
+    zero is 0, and of each image of those under a swap (0 z), so that whole
+    relabelling classes are kept; return that enumeration as models.  Every
+    case run on every model costs about 3 ms a model for the ten families,
+    so a full size-2 sweep would take 6 s a mode."""
 
     def thinned(size, eq_tables="identity"):
-        return itertools.islice(_sweep(size, eq_tables), 0, None, strides[size])
+        kept = set()  # the zero = 0 models kept; the sweep yields them first
+        for i, cells in enumerate(_sweep(size, eq_tables)):
+            if not cells[0] and i % strides[size] == 0:
+                kept.add(cells)
+                yield cells
+            elif cells[0] and _swapped(size, cells) in kept:
+                yield cells
 
     monkeypatch.setattr("arithlab.models._sweep", thinned)
     return lambda size, eq_tables="identity": map(
@@ -513,7 +536,7 @@ def _thinned(monkeypatch, strides):
 @pytest.mark.parametrize("mode", MODES)
 def test_memoised_metacheck_matches_every_case_run_directly(mode, monkeypatch):
     thinned = _thinned(monkeypatch, {1: 1, 2: 7, 3: 97})
-    budget = 1 + 293 + 30  # all of sizes 1 and 2, then into size 3
+    budget = 1 + 2 * 147 + 30  # all of sizes 1 and 2, then into size 3
     report = metacheck(3, FAMILIES, mode, budget)
     assert report.max_size == 3 and report.examined == budget
     sweep = itertools.chain(thinned(1), thinned(2), thinned(3))
@@ -533,6 +556,52 @@ def test_memoised_congruent_metacheck_matches_every_case_run_directly(mode, monk
     assert report.violations == _direct_violations(sweep, families, mode)
 
 
+def _plain_violations(max_size, families, mode, budget, eq_tables):
+    """What metacheck reports if it decides every case on every model of the
+    sweep, through a trie per case and size, and relabels none."""
+    cases = [(family, case) for family in families for case in LAWS[family]]
+    sweep = ((size, cells) for size in range(1, max_size + 1)
+             for cells in _sweep(size, eq_tables))
+    tries, found = {}, []
+    for size, cells in itertools.islice(sweep, budget):
+        for (family, case), trie in zip(cases, tries.setdefault(size, [[None] for _ in cases])):
+            if (detail := _decide(trie, case, size, cells, mode)) is not None:
+                found.append(Violation(family, _model(size, cells), detail))
+    return tuple(found)
+
+
+def _zero_probe(m, mode):
+    # judged alike on a model and its relabelled images, named by zero
+    if m.succ[m.zero] == m.zero:
+        return f"zero {m.zero} is its own successor"
+    return None
+
+
+# 1,500 and 3,000 cut the size-2 sweep inside its zero = 1 block; the
+# congruent collapse sweeps alone would take about 2 s
+@pytest.mark.parametrize("eq_tables, models, cut, families", [
+    ("identity", 2049, 1500, FAMILIES),
+    ("congruent", 4097, 3000, tuple(family for family in FAMILIES if family != "collapse")),
+], ids=["identity", "congruent"])
+@pytest.mark.parametrize("mode", MODES)
+def test_relabelled_metacheck_matches_the_plain_sweep(mode, eq_tables, models, cut,
+                                                      families, monkeypatch):
+    for budget in (None, cut):
+        report = metacheck(2, families, mode, budget or "full", eq_tables)
+        assert report.violations == _plain_violations(2, families, mode, budget, eq_tables)
+        assert (report.examined, report.exhausted) == (budget or models, not budget)
+    # no real detail tells a violator from its images, but the probe's
+    # does: an image's detail is its own, not copied from its preimage
+    monkeypatch.setitem(LAWS, "probe", (_zero_probe,))
+    for budget in (None, cut):
+        report = metacheck(2, ("probe",), mode, budget or "full", eq_tables)
+        sweep = itertools.chain(enumerate_interpretations(1, eq_tables),
+                                enumerate_interpretations(2, eq_tables))
+        assert report.violations == _direct_violations(
+            itertools.islice(sweep, budget), ("probe",), mode)
+        assert "zero 1 is its own successor" in {v.detail for v in report.violations}
+
+
 def test_metacheck_runs_a_case_once_per_reading_of_its_cells(monkeypatch):
     runs = []
 
@@ -547,18 +616,19 @@ def test_metacheck_runs_a_case_once_per_reading_of_its_cells(monkeypatch):
 
 
 # the case runs of each sweep the lawhunt benchmark makes at size 2, per
-# mode, eq filter and family: 3,465 standard, 4,169 parameterized and 135
-# congruent in all.  A change to the cells any case reads, or to their
-# order, changes the tries and so these counts.
+# mode, eq filter and family: 2,176 standard, 1,641 parameterized and 89
+# congruent in all.  They are runs on models whose zero is 0, and on those
+# images of violators that no trie leaf answers.  A change to the cells
+# any case reads, or to their order, changes the tries and so these counts.
 LAWHUNT_CASE_RUNS = {
     ("standard", "identity"): {
-        "A1": 11, "A2": 8, "A3": 6, "A4": 23, "A5": 9, "rules": 38,
-        "duality": 11, "substitution": 34, "collapse": 3287, "chain": 38},
+        "A1": 7, "A2": 5, "A3": 4, "A4": 16, "A5": 6, "rules": 31,
+        "duality": 9, "substitution": 25, "collapse": 2053, "chain": 20},
     ("parameterized", "identity"): {
-        "A1": 21, "A2": 14, "A3": 14, "A4": 47, "A5": 21, "rules": 118,
-        "duality": 21, "substitution": 58, "collapse": 3820, "chain": 35},
+        "A1": 12, "A2": 8, "A3": 8, "A4": 27, "A5": 12, "rules": 62,
+        "duality": 12, "substitution": 33, "collapse": 1448, "chain": 19},
     ("standard", "congruent"): {
-        "A1": 17, "A2": 12, "A3": 8, "A4": 45, "A5": 13, "rules": 40},
+        "A1": 10, "A2": 7, "A3": 5, "A4": 27, "A5": 8, "rules": 32},
 }
 
 
@@ -582,9 +652,21 @@ def test_lawhunt_sweeps_run_their_cases_as_often_as_pinned(monkeypatch):
 
 
 # a duality case sweeps the free variables of exists(x, b), and so not x,
-# which both of its sides bind; the top-level tarski calls show it
+# which both of its sides bind; the top-level tarski calls of the plain
+# sweep, which decides the case on every model, show it
 @pytest.mark.parametrize("mode, calls", [("standard", 40), ("parameterized", 66)])
 def test_duality_sweeps_only_the_free_variables_of_its_dual(mode, calls, monkeypatch):
+    made = []
+    monkeypatch.setattr("arithlab.models.tarski",
+                        lambda *args: made.append(args) or tarski(*args))
+    _plain_violations(2, ("duality",), mode, None, "identity")
+    assert len(made) == calls
+
+
+# metacheck decides the same case only on the models whose zero is 0 and
+# on the images of its violators, and so calls tarski less often
+@pytest.mark.parametrize("mode, calls", [("standard", 33), ("parameterized", 36)])
+def test_relabelled_duality_calls_tarski_less_often(mode, calls, monkeypatch):
     made = []
     monkeypatch.setattr("arithlab.models.tarski",
                         lambda *args: made.append(args) or tarski(*args))

@@ -431,6 +431,19 @@ def test_parse_proof_malformed_lines():
         parse_proof("one. (0 = 0) ; A1\n")
 
 
+def test_parse_proof_skips_blank_and_comment_lines():
+    text = "# x1 + 0 is x1.\n\n1. ((x1 + 0) = x1) ; S5\n   \n# done.\n"
+    assert parse_proof(text) == parse_proof("1. ((x1 + 0) = x1) ; S5")
+    # a skipped line still counts when an error names its source line
+    with pytest.raises(ProofFormatError, match="^source line 3: "):
+        parse_proof("# one\n\n1. (0 = #) ; A1\n")
+
+
+def test_check_line_names_an_unknown_justification():
+    line = ProofLine(1, parse_formula("(0 = 0)"), "A1")
+    assert check_line({}, line) == "unknown justification 'A1'"
+
+
 def test_line_numbers_must_increase():
     text = "3. ((x1 + 0) = x1) ; S5\n2. ((x1 + 0) = x1) ; S5\n"
     result = check_proof(parse_proof(text))
