@@ -33,11 +33,12 @@ and two sequence encodings:
               numeral for n is the chunk 1 followed by the chunk n, so it
               costs O(log n) bits and diagonal-sized codes stay workable.
               Encoding spells a tree straight into chunks; decoding splits
-              the stream with one compiled pattern and maps the pieces
-              through one table per scheme, reading as numbers only the
-              pieces it lacks.  Where the pattern cannot go on, at a
-              chunk too wide for it or a cut, the rest of the stream is
-              split chunk by chunk
+              the stream with one compiled pattern.  Each direction maps
+              tokens and pieces through one table per scheme, which works
+              out a piece it lacks and keeps it when it is no wider than
+              the pattern splits, so the tables stay small.  Where the
+              pattern cannot go on, at a chunk too wide for it or a cut,
+              the rest of the stream is split chunk by chunk
 
 Decoding folds every numeral into one run (a pairing stream the pattern
 split whole only when it holds a successor wrapper around a numeral), then
@@ -48,13 +49,16 @@ interned (hash-consed) in a table, so trees read into one table that spell
 alike are one object.
 
 The same two-layer scheme encodes proofs: a proof code is the sequence
-code of its line formulas' expression codes.  Justifications are not
-encoded; the proof predicate re-derives checkability, treating a proof as
-a bare formula sequence in which every line must be an axiom or follow
-from earlier lines by MP or GEN.  It holds the last line against the
-conclusion first, then decodes and judges the lines in order and stops at
-the first that fails.  It interns the lines it decodes, and the
-conclusion, in one table, and looks each line up by identity.
+code of its line formulas' expression codes.  Under pairing a line's chunk
+is its own stream behind as many zeros and a 1, so proof codes are joined
+and split as bit streams and no line code is made as a number.
+Justifications are not encoded; the proof predicate re-derives
+checkability, treating a proof as a bare formula sequence in which every
+line must be an axiom or follow from earlier lines by MP or GEN.  It holds
+the last line against the conclusion first, then decodes and judges the
+lines in order and stops at the first that fails.  It interns the lines it
+decodes, and the conclusion, in one table, and looks each line up by
+identity.
 
 The metafunctions operate on codes: meta_num builds numeral codes
 directly, meta_neg and meta_sub rewrite decoded symbol sequences (not
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from . import proofs as _proofs
 from .syntax import (
@@ -466,6 +471,8 @@ def nth_prime(i: int) -> int:
 def _encode_prime_sequence(values: list[int]) -> int:
     estimate = 0
     for i, value in enumerate(values):
+        if value < 1:  # a zero exponent would drop its entry
+            raise NotACodeError("sequence entries must be positive")
         if value > MAX_CODE_BITS:
             raise InfeasibleMagnitudeError(
                 f"sequence entry {value} as an exponent would exceed the "
@@ -523,28 +530,33 @@ _CHUNKS = {
 }
 
 
-def _chunk_of(scheme: str):
-    """The one rule from a token to its piece of the bit stream under
-    scheme: a symbol's chunk, a fixed symbol's from _CHUNKS, and for a
-    numeral run the chunk 1, then the run's chunk."""
-    config = NumberingConfig(scheme, "pairing")
-    fixed = _CHUNKS[scheme].get
+class _SymbolChunks(dict):
+    """The piece of the bit stream of each token under one scheme, from the
+    fixed symbols' chunks on.  A token the table lacks is worked out: a
+    symbol's chunk, or for a numeral run the chunk 1, then the run's chunk.
+    It is kept when its piece is narrow, so the table holds at most one
+    entry per narrow piece."""
 
-    def piece(tok: Token) -> str:
-        chunk = fixed(tok)
-        if chunk is not None:
-            return chunk
+    def __init__(self, scheme: str) -> None:
+        super().__init__(_CHUNKS[scheme])
+        self.config = NumberingConfig(scheme, "pairing")
+
+    def __missing__(self, tok: Token) -> str:
         if tok[0] == "numrun":
-            return "1" + _gamma_bits(tok[1])
-        return _gamma_bits(sym_code(tok, config) + 1)
-
-    return piece
+            piece = "1" + _gamma_bits(tok[1])
+        else:
+            piece = _gamma_bits(sym_code(tok, self.config) + 1)
+        if len(piece) <= _NARROW:
+            self[tok] = piece
+        return piece
 
 
 class _ChunkSymbols(dict):
-    """The symbol of each fixed symbol's chunk under one scheme.  A piece
-    the table lacks is read as a number: the chunk 1 with a numeral run's
-    chunk after it, a variable's chunk, or no symbol's."""
+    """The token of each piece under one scheme, from the fixed symbols'
+    chunks on.  A piece the table lacks is read as a number: the chunk 1
+    with a numeral run's chunk after it, a variable's chunk, or no
+    symbol's.  What it reads is kept when the piece is narrow; a piece that
+    names no token is never kept."""
 
     def __init__(self, scheme: str) -> None:
         super().__init__((chunk, sym) for sym, chunk in _CHUNKS[scheme].items())
@@ -554,8 +566,12 @@ class _ChunkSymbols(dict):
         if piece[0] == "1":
             if len(piece) == 1:
                 raise NotACodeError("sequence ends inside a numeral run")
-            return ("numrun", int(piece[1:], 2))
-        return _symbol(int(piece, 2) - 1, self.config)
+            tok = ("numrun", int(piece[1:], 2))
+        else:
+            tok = _symbol(int(piece, 2) - 1, self.config)
+        if len(piece) <= _NARROW:
+            self[piece] = tok
+        return tok
 
 
 def _gamma_pattern(zeros: int) -> str:
@@ -568,14 +584,14 @@ def _gamma_pattern(zeros: int) -> str:
     return pattern
 
 
-def _wrapped(piece) -> re.Pattern:
+def _wrapped(chunks: dict) -> re.Pattern:
     """f_1^1 ( then the zero constant, or then the chunk 1 of a numeral run.
     A stream where this is not found has no successor wrapper to fold, and
     a match across chunk boundaries only costs a needless fold.  The search
     looks for the bits from the first 1 of f_1^1 on, which a long run of
     zeros cannot slow, and then looks back for the zeros before them."""
-    wrapper = piece(SUCC_FN) + piece(LPAREN)
-    return re.compile(f"{wrapper.lstrip('0')}(?<={wrapper})(?:{piece(ZERO_CONST)}|1)")
+    wrapper = chunks[SUCC_FN] + chunks[LPAREN]
+    return re.compile(f"{wrapper.lstrip('0')}(?<={wrapper})(?:{chunks[ZERO_CONST]}|1)")
 
 
 # The widest chunk _PIECES splits off: this many zeros, then one more bit.
@@ -589,10 +605,13 @@ _PIECE_ZEROS = 8
 # stream is one last piece (taken at once, as the pattern is DOTALL): a chunk
 # wider than _PIECE_ZEROS, or a cut one.
 _PIECES = re.compile("1(?:1|{0})?|{0}|.+".format(_gamma_pattern(_PIECE_ZEROS)), re.S)
-_CHUNK_OF = {scheme: _chunk_of(scheme) for scheme in SCHEMES}
-_CHUNKED = {scheme: _spelling(piece) for scheme, piece in _CHUNK_OF.items()}
+# The widest piece the tables keep: the chunk 1 and the widest chunk _PIECES
+# splits off, so at most about 2 * 2 ** (_PIECE_ZEROS + 1) per table.
+_NARROW = 2 * _PIECE_ZEROS + 2
+_SYMBOL_CHUNKS = {scheme: _SymbolChunks(scheme) for scheme in SCHEMES}
+_CHUNKED = {scheme: _spelling(_SYMBOL_CHUNKS[scheme].__getitem__) for scheme in SCHEMES}
 _CHUNK_SYMBOLS = {scheme: _ChunkSymbols(scheme) for scheme in SCHEMES}
-_WRAPPED = {scheme: _wrapped(piece).search for scheme, piece in _CHUNK_OF.items()}
+_WRAPPED = {scheme: _wrapped(chunks).search for scheme, chunks in _CHUNKS.items()}
 
 
 def _stream(code: int) -> str:
@@ -619,27 +638,6 @@ def _chunks(bits: str, start: int = 0) -> list[str]:
 
 
 # --------------------------------------------------------------------------
-# sequence codes: the one place that picks prime or pairing
-
-
-def _encode_sequence(values: list[int], config: NumberingConfig) -> int:
-    if config.seq == "prime":
-        return _encode_prime_sequence(values)
-    parts = ["1"]
-    for value in values:
-        if value < 1:
-            raise NotACodeError("sequence entries must be positive")
-        parts.append(_gamma_bits(value))
-    return int("".join(parts), 2)
-
-
-def _decode_sequence(code: int, config: NumberingConfig) -> list[int]:
-    if config.seq == "prime":
-        return _decode_prime_sequence(code)
-    return [int(chunk, 2) for chunk in _chunks(_stream(code))]
-
-
-# --------------------------------------------------------------------------
 # expression codes
 #
 # An expression code is the sequence code of its official string's symbol
@@ -653,7 +651,7 @@ def _encode_tokens(tokens: list[Token], config: NumberingConfig) -> int:
     if config.seq == "prime":
         values = [sym_code(s, config) for s in _expand_tokens(tokens)]
         return _encode_prime_sequence(values)
-    return int("1" + "".join(map(_CHUNK_OF[config.scheme], tokens)), 2)
+    return int("1" + "".join(map(_SYMBOL_CHUNKS[config.scheme].__getitem__, tokens)), 2)
 
 
 def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
@@ -662,7 +660,11 @@ def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
         return _normalize_tokens(
             [_symbol(value, config) for value in _decode_prime_sequence(code)]
         )
-    bits = _stream(code)
+    return _read_stream(_stream(code), config.scheme)
+
+
+def _read_stream(bits: str, scheme: str) -> list[Token]:
+    """The normalised symbol string of a pairing code's bit stream."""
     pieces = _PIECES.findall(bits)
     last = pieces[-1] if pieces else "1"  # code 1 has the empty stream
     zeros = last.find("1")
@@ -678,10 +680,10 @@ def _decode_tokens(code: int, config: NumberingConfig) -> list[Token]:
                 pieces[-1] += chunk
             else:
                 pieces.append(chunk)
-    tokens = list(map(_CHUNK_SYMBOLS[config.scheme].__getitem__, pieces))
+    tokens = list(map(_CHUNK_SYMBOLS[scheme].__getitem__, pieces))
     # The search for a successor wrapper reads every bit, a wide chunk's too,
     # so a stream that needed the chunk loop is folded without it.
-    if split and not _WRAPPED[config.scheme](bits):
+    if split and not _WRAPPED[scheme](bits):
         return tokens
     return _normalize_tokens(tokens)
 
@@ -786,10 +788,22 @@ def meta_sub(
 def encode_proof(
     proof: _proofs.Proof, config: NumberingConfig = DEFAULT_CONFIG
 ) -> int:
-    """Sequence code of the proof's line-formula codes."""
-    return _encode_sequence(
-        [encode_expr(line.formula, config) for line in proof.lines], config
-    )
+    """Sequence code of the proof's line-formula codes.
+
+    Under pairing a line code's chunk is its stream, after as many zeros and
+    a 1, so the lines are spelled as streams and joined, and only the proof
+    code is made as a number.
+    """
+    if config.seq == "prime":
+        return _encode_prime_sequence(
+            [encode_expr(line.formula, config) for line in proof.lines]
+        )
+    chunked = _CHUNKED[config.scheme]
+    parts = ["1"]
+    for line in proof.lines:
+        bits = "".join(spell(line.formula, chunked))
+        parts += ("0" * len(bits), "1", bits)
+    return int("".join(parts), 2)
 
 
 def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
@@ -804,30 +818,36 @@ def meta_pf(u: int, x: int, config: NumberingConfig = DEFAULT_CONFIG) -> bool:
     them and the conclusion are interned in one table, so each formula is
     looked up among the earlier ones by identity, and the axiom schemas
     compare parts by semantic_eq, which tries identity first; no key is
-    spelled.
+    spelled.  Under pairing each line is sliced out of u's stream as its
+    own stream and decoded from its bits, and x is compared by its stream.
     """
     try:
         if not isinstance(u, int) or not isinstance(x, int):
             return False
-        line_codes = _decode_sequence(u, config)
-        if not line_codes:
+        if config.seq == "prime":
+            lines = _decode_prime_sequence(u)
+            read = partial(_decode_tokens, config=config)
+        else:
+            # a line's stream is its chunk after the leading zeros and the 1
+            lines = [chunk[len(chunk) // 2 + 1:] for chunk in _chunks(_stream(u))]
+            read, x = partial(_read_stream, scheme=config.scheme), _stream(x)
+        if not lines:
             return False
         table: dict = {}
 
-        def decode(code: int) -> Expr:
-            return _parse_tokens(_decode_tokens(code, config), table)
+        def decode(line) -> Expr:
+            return _parse_tokens(read(line), table)
 
-        last = decode(line_codes[-1])
+        last = decode(lines[-1])
         # one code decodes to one interned tree, so only another code is read
-        if not isinstance(last, Formula) or x != line_codes[-1] and decode(x) is not last:
+        if not isinstance(last, Formula) or x != lines[-1] and decode(x) is not last:
             return False
         earlier: set[int] = set()  # ids of the lines judged so far
         # id of B -> ids of A, for each earlier line (A -> B)
         antecedents: dict[int, list[int]] = {}
-        for number, line_code in enumerate(line_codes, 1):
-            f = last if number == len(line_codes) else decode(line_code)
-            if not isinstance(f, Formula):
-                return False
+        for number, line in enumerate(lines, 1):
+            # a term is no axiom, no MP consequent and no generalisation
+            f = last if number == len(lines) else decode(line)
             if not (
                 any(a in earlier for a in antecedents.get(id(f), ()))
                 or (f.__class__ is ForAll and id(f.body) in earlier)

@@ -140,6 +140,28 @@ def test_diag_prints_identity(capsys):
     assert "sentence-code" in out
 
 
+def test_diag_prints_r_and_the_sentence_code_symbolically_under_prime(capsys):
+    # the numeral for p is too large for the prime encoding, so r and the
+    # sentence code are printed as the meta_sub expressions that define them
+    q = int("39581690368875757684283717266982907558020496645953"
+            "50985136031137792000000000000000000000")
+    p = int("27548897097268712155517709319767232485150215481046"
+            "79401166027022553109907448284975366915336122696925"
+            "18985190564983363657972231120918882733182709452351"
+            "57734063061064770417567852238631178303538237065729"
+            "0263340553918360666713312192187900390625000")
+    assert main(["diag", "(x1 = x2)", "--scheme", "mendelson", "--seq", "prime"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines() == [
+        f"q {q}",
+        f"p {p}",
+        f"r meta_sub({q}, meta_num({p}), 29)",  # 29 is the code of x2
+        f"sentence-code meta_sub({p}, meta_num({p}), 29)",
+        f"sentence forall x1 . (x1 = num({p}))",
+    ]
+
+
 def test_diag_refuses_variable_index_zero(capsys):
     assert main(["diag", "(x1 = x2)", "--var", "0"]) == 2
     out, err = capsys.readouterr()

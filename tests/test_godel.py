@@ -44,6 +44,8 @@ from arithlab.proofs import check_proof, is_any_axiom, schema_instance
 from arithlab.syntax import (
     BigNumeral,
     CaptureError,
+    ForAll,
+    Formula,
     Implies,
     Not,
     Var,
@@ -61,6 +63,7 @@ from conftest import (
     deep_instance_proof,
     mutate_proof_line,
     rand_formula,
+    rand_mutated_proof,
     rand_term,
 )
 
@@ -670,6 +673,94 @@ def test_meta_pf_agrees_with_kernel_on_deep_proof():
     assert meta_pf(u, encode_expr(proof.conclusion, MEND_PAIR), MEND_PAIR)
 
 
+def spec_meta_pf(u, x, config):
+    """meta_pf by the route of one int per line: u's chunks are read as line
+    codes and each is decoded by _decode_tokens.  Lines are compared by
+    canonical key, and a line follows when it is an axiom, or when an
+    earlier line is its generalisation's body, or earlier lines are A and
+    (A -> it)."""
+    try:
+        if not isinstance(u, int) or not isinstance(x, int) or u < 1:
+            return False
+        bits, codes, i = bin(u)[3:], [], 0
+        while i < len(bits):
+            one = bits.find("1", i)
+            end = 2 * one - i + 1
+            if one < 0 or end > len(bits):
+                return False
+            codes.append(int(bits[i:end], 2))
+            i = end
+        lines = [godel._parse_tokens(godel._decode_tokens(code, config)) for code in codes]
+        if not lines or not all(isinstance(f, Formula) for f in lines):
+            return False
+        keys = [canonical_key(f) for f in lines]
+        if x != codes[-1] and canonical_key(decode_expr(x, config)) != keys[-1]:
+            return False
+        for k, f in enumerate(lines):
+            earlier = set(keys[:k])
+            if not (
+                is_any_axiom(f)
+                or isinstance(f, ForAll) and canonical_key(f.body) in earlier
+                or any(isinstance(g, Implies) and canonical_key(g.right) == keys[k]
+                       and canonical_key(g.left) in earlier for g in lines[:k])
+            ):
+                return False
+        return True
+    except (NumberingError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize("config", [MEND_PAIR, COMPACT_PAIR])
+def test_meta_pf_matches_its_spec(corpus, config):
+    rng = random.Random(f"pf-spec/{config.scheme}")
+    proofs = [*corpus.values(), deep_instance_proof(400)]
+    proofs += [rand_mutated_proof(rng, proof) for proof in proofs for _ in range(2)]
+    verdicts, respelled = set(), 0
+    for proof in proofs:
+        lines = _line_codes(proof, config)
+        u = encode_proof(proof, config)
+        x = encode_expr(proof.conclusion, config)
+        assert u == pairing_sequence(lines)
+        # the conclusion with every numeral spelled by successor wrappers
+        tokens = []
+        for tok in official_tokens(proof.conclusion):
+            tokens += successors(tok[1], ZERO_CONST) if tok[0] == "numrun" else [tok]
+        spelled = pairing_code(tokens, config)
+        respelled += spelled != x
+        cases = [(u, x), (u, spelled), (u + 1, x), (u - 1, x), (u, x + 1), (u, x - 1),
+                 (u, 0), (u, -x), (0, x), (-u, x)]
+        # an empty line, code 1, first, in the middle and last
+        for k in (0, len(lines) // 2, len(lines)):
+            cases.append((pairing_sequence(lines[:k] + [1] + lines[k:]), x))
+        for u_, x_ in cases:
+            verdict = meta_pf(u_, x_, config)
+            assert verdict is spec_meta_pf(u_, x_, config), (u_, x_)
+            verdicts.add(verdict)
+    assert verdicts == {True, False} and respelled
+
+
+def test_meta_pf_answers_no_for_a_code_that_is_not_an_int(corpus):
+    proof = corpus["one_plus_one"]
+    u, x = encode_proof(proof, MEND_PAIR), encode_expr(proof.conclusion, MEND_PAIR)
+    assert meta_pf(u, x, MEND_PAIR) is True
+    for junk in ("12", 2.0, None, [u]):
+        assert meta_pf(junk, x, MEND_PAIR) is False
+        assert meta_pf(u, junk, MEND_PAIR) is False
+        assert meta_pf(junk, 5, MEND_PRIME) is False
+    # under prime, 12 = 2^2 * 3 holds the line codes 2 and 1, and 1 is no
+    # expression code
+    assert meta_pf(12, 5, MEND_PRIME) is False
+
+
+def test_meta_pf_answers_no_for_a_line_that_decodes_to_a_term(corpus):
+    proof = corpus["one_plus_one"]
+    lines = _line_codes(proof)
+    x = encode_expr(proof.conclusion, MEND_PAIR)
+    term = encode_expr(parse_term("(S(0) + S(0))"), MEND_PAIR)
+    for k in (0, 3, len(lines) - 1):
+        assert meta_pf(pairing_sequence(lines[:k] + [term] + lines[k:]), x, MEND_PAIR) is False
+
+
 # sha256 of the hex proof code and of the hex line codes, comma-joined, of
 # each corpus proof under the two pairing codings
 GOLDEN_PROOF_CODES = {
@@ -785,7 +876,7 @@ def test_encode_proof_prime_is_infeasible_for_corpus(corpus):
         (lambda: encode_expr(Var(600), MEND_PRIME), InfeasibleMagnitudeError,
          "sequence entry 4813 as an exponent would exceed the 4096-bit guard"),
         (lambda: decode_expr(1, MEND_PRIME), NotACodeError, "no valid factorisation shape"),
-        (lambda: godel._encode_sequence([0], MEND_PAIR), NotACodeError,
+        (lambda: godel._encode_prime_sequence([2, 0, 3]), NotACodeError,
          "sequence entries must be positive"),
     ],
 )

@@ -32,7 +32,14 @@ from arithlab.godel import (
     sym_code,
     variable_code,
 )
-from arithlab.syntax import ArithlabError, BigNumeral, Var, numeral_value, semantic_eq
+from arithlab.syntax import (
+    ArithlabError,
+    BigNumeral,
+    Var,
+    numeral_value,
+    parse_formula,
+    semantic_eq,
+)
 
 from conftest import rand_formula, rand_term
 
@@ -247,3 +254,47 @@ def test_chunks_wider_than_the_split_pattern_take_the_exact_fallback(
                 "^bit stream ends inside a length-prefixed chunk$")):
             decode_expr(code >> 5, config)
     assert numeral_value(decode_expr(meta_num(2**200, config), config)) == 2**200
+
+
+# ------------------------------------------------------------- the tables
+
+
+def spec_piece(tok, config):
+    """The piece of one token: what spec_encode_tokens writes for it."""
+    return bin(spec_encode_tokens([tok], config))[3:]
+
+
+@pytest.mark.parametrize("config", PAIRINGS)
+def test_the_chunk_tables_keep_only_narrow_pieces(trees, config, monkeypatch):
+    scheme = config.scheme
+    # fresh tables, so that they hold what this test's first pass put there
+    encoding, decoding = godel._SymbolChunks(scheme), godel._ChunkSymbols(scheme)
+    monkeypatch.setitem(godel._SYMBOL_CHUNKS, scheme, encoding)
+    monkeypatch.setitem(godel._CHUNKED, scheme, godel._spelling(encoding.__getitem__))
+    monkeypatch.setitem(godel._CHUNK_SYMBOLS, scheme, decoding)
+    widest = godel._PIECE_ZEROS
+    exprs = [BigNumeral(2**k) for k in (widest - 1, widest, widest + 1)]
+    exprs.append(parse_formula(f"(x1000000 = num({10**40}))"))
+    exprs += trees
+    rng = random.Random(f"tables/{scheme}")
+    codes = [code for e in exprs for code in mutants(spec_encode(e, config), rng)]
+
+    def one_pass():
+        out = [outcome(encode_expr, e, config) for e in exprs]
+        out += [outcome(godel._encode_tokens, [tok], config) for tok in (("var", 0), ("bogus",))]
+        return out + [outcome(godel._decode_tokens, code, config) for code in codes]
+
+    first = one_pass()
+    sizes = len(encoding), len(decoding)
+    assert one_pass() == first  # a hit gives what a miss gave
+    assert (len(encoding), len(decoding)) == sizes
+    bound = 2 * widest + 2
+    for tok, piece in encoding.items():
+        assert piece == spec_piece(tok, config) and len(piece) <= bound, tok
+    for piece, tok in decoding.items():
+        assert spec_piece(tok, config) == piece and len(piece) <= bound, piece
+    # the bound is the widest piece the split pattern takes
+    for n, kept in ((2**widest, True), (2**(widest + 1), False)):
+        assert (("numrun", n) in encoding) is kept
+        assert (spec_piece(("numrun", n), config) in decoding) is kept
+    assert "1" not in decoding and ("var", 0) not in encoding
