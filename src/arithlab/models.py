@@ -6,10 +6,11 @@ zero, a successor table, binary tables for plus and times, and a truth
 table for the equality predicate.  Normal means equality is interpreted
 as identity.
 
-Formulas are decided by syntax.tarski, whose caller decides equations
-and says what each quantifier ranges over.  Here equations are table
-lookups, and the two modes differ only in the points that the
-quantifiers, and the sweep over free variables in is_true, range over:
+In one model, formulas are decided by syntax.tarski, whose caller
+decides equations and says what each quantifier ranges over.  Here
+equations are table lookups, and the two modes differ only in the points
+that the quantifiers, and the sweep over free variables in is_true,
+range over:
 
   standard       the whole domain
   parameterized  the numeral image, the closure of zero under successor,
@@ -26,36 +27,25 @@ instance) pair on which an expected law breaks.
 Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
 COLLAPSE_CASES.  Their closures, bodies and variable lists are prepared
-when LAWS is built, so a case run only evaluates (chain alone builds its
-numeral instances, which depend on the model).  A case reads only a few
-cells of a model (zero, succ[a], add[a][b], mul[a][b], eq[a][b]), so
-while metacheck sweeps the cells of one size it runs each case once per
-distinct reading of the cells it looks at, and keeps the result at a
-leaf of a decision trie keyed by those cells.  The leaf stands for every
-model that agrees on those cells, and those models reuse its result.
-A case reads zero only for 0, a numeral or an unassigned variable, and
-succ only at the values its successor steps pass, so its leaves stay few.
-
-The cases run only on the models whose zero is 0, which the sweep yields
-first.  A model whose zero is z is the image of one of them under the
-swap (0 z) of the domain, and every case gives both the same verdict: in
-parameterized mode the points move with the relabelling, and a congruent
-eq table stays congruent.  So metacheck records the images of each zero
-= 0 violator with the cases it breaks, and decides only those cases
-again on such an image, for its own detail (duality and substitution
-name an assignment).  At size 2 the ten families run their cases 2,176
-times in standard mode and 1,641 in parameterized mode, not 124,989.
-Reports and budgets are the same as if every case ran on every model;
-the sweep builds an Interpretation only for a model that a violation
-names.
+when LAWS is built (chain alone builds its numeral instances, which
+depend on the size).  metacheck reads the models' cells from the sweep
+in chunks of at most CHUNK models of one size, and decides each case on
+a whole chunk at once, one bit a model: each cell becomes a one-hot
+tuple of ints, bit k of entry v set where the chunk's k-th model has
+the value v in that cell, so that one walk of a formula (_evaluate)
+gives the mask of every model of the chunk where it holds.  A case that
+names an assignment names, for each model, the first at which it
+breaks.  Reports and budgets are those of deciding every case on every
+model in sweep order, and an Interpretation is built only for a model
+that a violation names.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 from .syntax import (
     Add,
@@ -66,6 +56,7 @@ from .syntax import (
     Formula,
     Implies,
     Mul,
+    Not,
     NotATreeError,
     Refusal,
     Succ,
@@ -278,7 +269,8 @@ Assignment = dict[int, int]
 
 def _points(m: Interpretation, mode: str):
     """What the variables range over in the given mode: the domain, or
-    the numeral image.  No other code reads the mode."""
+    the numeral image.  No other code reads the mode but _Chunk, which
+    finds the points of many models at once."""
     if mode == "standard":
         return range(m.size)
     if mode == "parameterized":
@@ -408,10 +400,14 @@ def _algebra_cells(size: int) -> int:  # the cells before eq's, see _tables
     return 1 + size + 2 * size * size
 
 
+def _width(size: int) -> int:  # all of a model's cells, eq's too
+    return _algebra_cells(size) + size * size
+
+
 def _tables(size: int, row) -> tuple[tuple, tuple, tuple]:
     """The one layout of a model's cells: zero, succ[a], then the rows of add,
     mul and eq, as tuples of rows; row(first) makes the row from cell first."""
-    rows = tuple(map(row, range(1 + size, _algebra_cells(size) + size * size, size)))
+    rows = tuple(map(row, range(1 + size, _width(size), size)))
     return rows[:size], rows[size : 2 * size], rows[2 * size :]
 
 
@@ -424,12 +420,22 @@ def _model(size: int, cells: tuple[int, ...]) -> Interpretation:
 def _sweep(size: int, eq_tables: str):
     """The cells of every interpretation of the given size: each algebra in
     product order, with each eq table of the filter that is a congruence."""
-    eqs, congruence = _eq_tables(size, eq_tables), _congruence_test(size)
+    checks = _eq_checks(size, eq_tables)
     for algebra in itertools.product(range(size), repeat=_algebra_cells(size)):
-        for eq in eqs:
+        for eq, check in checks:
             cells = algebra + eq
-            if eq_tables == "identity" or congruence(cells):
+            if check is None or check(cells):
                 yield cells
+
+
+def _eq_checks(size: int, eq_tables: str) -> list[tuple[tuple[int, ...], object]]:
+    """The eq cells a filter offers, each with the test of a model's cells
+    that keeps it: none for identity and the total relation, which every
+    algebra respects, and the congruence test for any other."""
+    congruence = _congruence_test(size)
+    respected = {tuple(itertools.chain(*identity_eq(size))), (1,) * size * size}
+    return [(eq, None if eq in respected else congruence)
+            for eq in _eq_tables(size, eq_tables)]
 
 
 def _eq_tables(size: int, eq_tables: str) -> list[tuple[int, ...]]:
@@ -678,73 +684,241 @@ def numeral_chain(
     return universal, instances
 
 
+# --------------------------------------------------------------------------
+# chunks: metacheck decides each case on up to CHUNK models of one size at
+# once, one bit a model (bitslicing).  Bit k of a mask stands for the
+# chunk's k-th model; a value is one-hot, a tuple that holds, for each
+# domain element, the mask of the models where the value is that element;
+# a formula's truth is the mask of the models where it holds.
+
+CHUNK = 2048
+
+
+class _Chunk:
+    """The cells of up to CHUNK models of one size, in the layout of
+    _tables, and the points of a mode.  zero, succ[a], add[a][b] and
+    mul[a][b] are one-hot values, eq[a][b] a mask; points[d] is the mask
+    of the models where d is a point, outside[d] its complement in full,
+    and const[d] the value that is d in every model.  Built from flat, the
+    models' cells one after another, one byte a cell."""
+
+    __slots__ = ("size", "full", "laps", "zero", "succ", "add", "mul", "eq",
+                 "const", "image", "points", "outside")
+
+    def __init__(self, size: int, flat: bytes, mode: str):
+        width, algebra = _width(size), _algebra_cells(size)
+        last = len(flat) - width  # where the last model's cells start
+
+        def mask(cell: int, v: int) -> int:  # of the models whose cell holds v
+            digits = flat[last + cell :: -width]  # the last model's first
+            return int(digits.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
+
+        cells = [tuple(mask(cell, v) for v in range(size)) for cell in range(algebra)]
+        cells += [mask(cell, 1) for cell in range(algebra, width)]
+        self.size, self.full = size, (1 << len(flat) // width) - 1
+        self.laps = math.lcm(*range(1, size + 1))  # each cycle's length divides it
+        self.zero, self.succ = cells[0], tuple(cells[1 : 1 + size])
+        self.add, self.mul, self.eq = _tables(size, lambda first: cells[first : first + size])
+        self.const = tuple(tuple(self.full if v == d else 0 for v in range(size))
+                           for d in range(size))
+        image, reached = list(self.zero), self.zero  # the closure of zero under succ
+        for _ in range(size - 1):
+            reached = _steps(self, reached, 1)
+            image = [seen | now for seen, now in zip(image, reached)]
+        self.image = tuple(image)
+        self.points = self.image if mode == "parameterized" else (self.full,) * size
+        self.outside = tuple(self.full ^ p for p in self.points)
+
+
+def _apply(table, left: tuple, right: tuple) -> tuple:
+    """The one-hot value of table[l][r] for the one-hot values l and r."""
+    out = [0] * len(left)
+    for a, on_a in enumerate(left):
+        if on_a:
+            row = table[a]
+            for b, on_b in enumerate(right):
+                both = on_a & on_b
+                if both:
+                    out = [v | both & cell for v, cell in zip(out, row[b])]
+    return tuple(out)
+
+
+def _equal(c: _Chunk, left: tuple, right: tuple) -> int:
+    """The mask of the models where eq relates the values left and right."""
+    truth = 0
+    for a, on_a in enumerate(left):
+        if on_a:
+            row = c.eq[a]
+            for b, on_b in enumerate(right):
+                if on_b:
+                    truth |= on_a & on_b & row[b]
+    return truth
+
+
+def _steps(c: _Chunk, value: tuple, k: int) -> tuple:
+    """succ applied k times to value; past size steps every model is on
+    a cycle, so k folds by whole laps."""
+    if k > c.size:
+        k = c.size + (k - c.size) % c.laps
+    for _ in range(k):
+        out = [0] * c.size
+        for a, on in enumerate(value):
+            if on:
+                out = [v | on & cell for v, cell in zip(out, c.succ[a])]
+        value = tuple(out)
+    return value
+
+
+def _remap(c: _Chunk, value: tuple) -> tuple:
+    """value as the evaluator reads an assignment: outside the points it
+    reads as zero."""
+    off = 0
+    for on, outside in zip(value, c.outside):
+        off |= on & outside
+    return tuple(on & p | z & off for on, p, z in zip(value, c.points, c.zero))
+
+
+def _evaluate(c: _Chunk, e, env: dict):
+    """The value of the term e, one-hot, or the truth of the formula e, a
+    mask, in each model of chunk c under env, a map from variables to
+    one-hot values; an unassigned variable reads as zero, and a
+    quantifier ranges over the points.  One explicit-stack walk: a node
+    waits on the stack as (node, None) until its operands are done, and
+    a Succ chain as (its length, None)."""
+    todo, done = [(e, env)], []
+    pop, push, put = todo.pop, todo.append, done.append
+    while todo:
+        e, env = pop()
+        cls = e.__class__
+        if env is None:  # the operands of e are done
+            if cls is Eq:
+                right = done.pop()
+                done[-1] = _equal(c, done[-1], right)
+            elif cls is Add or cls is Mul:
+                right = done.pop()
+                done[-1] = _apply(c.add if cls is Add else c.mul, done[-1], right)
+            elif cls is int:
+                done[-1] = _steps(c, done[-1], e)
+            elif cls is Not:
+                done[-1] ^= c.full
+            elif cls is Implies:
+                right = done.pop()
+                done[-1] = c.full ^ done[-1] | right
+            else:  # ForAll, true at each point; its truth at 0 is on top
+                truth = c.full
+                for outside in c.outside:
+                    truth &= done.pop() | outside
+                put(truth)
+        elif cls is Var:
+            put(env.get(e.index, c.zero))
+        elif cls is Eq or cls is Add or cls is Mul or cls is Implies:
+            push((e, None))
+            push((e.right, env))
+            push((e.left, env))
+        elif cls is Succ:
+            k = 0
+            while e.__class__ is Succ:
+                k += 1
+                e = e.arg
+            push((k, None))
+            push((e, env))
+        elif cls is Zero:
+            put(c.zero)
+        elif cls is BigNumeral:
+            put(_steps(c, c.zero, e.value))
+        elif cls is Not:
+            push((e, None))
+            push((e.body, env))
+        elif cls is ForAll:
+            push((e, None))
+            todo += [(e.body, {**env, e.index: v}) for v in c.const]
+        else:
+            raise NotATreeError(f"not a term or formula: {e!r}")
+    return done[0]
+
+
+def _bound(c: _Chunk, env: dict) -> tuple[dict, int]:
+    """The values of env as constants, and the mask of the models where
+    each of them is a point."""
+    valid = c.full
+    for d in env.values():
+        valid &= c.points[d]
+    return {x: c.const[d] for x, d in env.items()}, valid
+
+
 # each law family is a tuple of cases, one per pinned item, each a partial
-# that carries what its item needs; a case gives the detail of the
-# violation it finds in one model, or None.  A case that sweeps assignments
-# sweeps the sorted free variables of what it evaluates: exists(x, b) for
-# duality, forall x . b for collapse, and forall x . b with t for substitution.
+# that carries what its item needs; a case gives, for a chunk, the masks of
+# the models it breaks, each with the detail of their violation.  A case
+# that sweeps assignments sweeps the sorted free variables of what it
+# evaluates: exists(x, b) for duality, forall x . b for collapse, and
+# forall x . b with t for substitution, over the domain in product order;
+# in duality and collapse an assignment counts only where its values are
+# points.  Duality and substitution name the first assignment at which a
+# model breaks.
 
 
-def _truth_case(premises, conclusion, detail, m, mode):
-    # the detail when each closed premise is true and the conclusion is not
-    _, atom, over = _semantics(m, mode)
-    if all(tarski(f, {}, atom, over) for f in premises) and not tarski(
-            conclusion, {}, atom, over):
-        return detail
-    return None
+def _truth_case(premises, conclusion, detail, c):
+    # the detail where each closed premise is true and the conclusion is not
+    mask = c.full ^ _evaluate(c, conclusion, {})
+    for f in premises:
+        mask &= _evaluate(c, f, {})
+    return [(mask, detail)]
 
 
-def _duality_case(x, b, dual, variables, m, mode):
-    points, atom, over = _semantics(m, mode)
-    values = sorted(points)  # in domain order
-    for env in _assignments(values, variables):
-        direct = any(tarski(b, {**env, x: d}, atom, over) for d in values)
-        if direct != tarski(dual, env, atom, over):
-            return f"existential duality breaks for x{x} in {b} at {env}"
-    return None
+def _duality_case(x, b, dual, variables, c):
+    found, left = [], c.full
+    for env in _assignments(range(c.size), variables):
+        seen, valid = _bound(c, env)
+        direct = 0
+        for d, value in enumerate(c.const):
+            direct |= _evaluate(c, b, {**seen, x: value}) & c.points[d]
+        broken = (direct ^ _evaluate(c, dual, seen)) & valid & left
+        if broken:
+            found.append((broken, f"existential duality breaks for x{x} in {b} at {env}"))
+            left ^= broken
+    return found
 
 
-def _substitution_case(b, x, t, sub, fv, m, mode):
-    points, atom, over = _semantics(m, mode)
-    for env in _assignments(range(m.size), fv):
-        seen = _read(m, env, points)
-        lhs = tarski(sub, seen, atom, over)
-        rhs = tarski(b, _read(m, {**env, x: _value(m, t, seen)}, points), atom, over)
-        if lhs != rhs:
-            return (
-                f"substitution lemma breaks for {t} into x{x}"
-                f" of {b} at {env}"
-            )
-    return None
+def _substitution_case(b, x, t, sub, fv, c):
+    found, left = [], c.full
+    for env in _assignments(range(c.size), fv):
+        seen = {y: _remap(c, c.const[d]) for y, d in env.items()}
+        lhs = _evaluate(c, sub, seen)
+        rhs = _evaluate(c, b, {**seen, x: _remap(c, _evaluate(c, t, seen))})
+        broken = (lhs ^ rhs) & left
+        if broken:
+            found.append((broken, f"substitution lemma breaks for {t} into x{x}"
+                                  f" of {b} at {env}"))
+            left ^= broken
+    return found
 
 
-def _collapse_case(x, b, universal, fv, m, mode):
-    points, atom, over = _semantics(m, mode)
-    lhs = tarski(universal, {}, atom, over)
-    rhs = all(
-        tarski(b, {**env, x: d}, atom, over)
-        for env in _assignments(sorted(points), fv)
-        for d in points
-    )
-    if lhs != rhs:
-        return f"quantifier collapse mismatch for x{x} in {b}"
-    return None
+def _collapse_case(x, b, universal, fv, c):
+    rhs = c.full
+    for env in _assignments(range(c.size), fv):
+        seen, valid = _bound(c, env)
+        for d, value in enumerate(c.const):
+            rhs &= _evaluate(c, b, {**seen, x: value}) | c.full ^ (valid & c.points[d])
+    return [(_evaluate(c, universal, {}) ^ rhs, f"quantifier collapse mismatch for x{x} in {b}")]
 
 
-def _chain_case(x, b, m, mode):
+def _chain_case(x, b, c):
     # universal truth must imply every numeral instance; where every point
     # is the value of a numeral (always in parameterized mode) the
-    # instances must also add back up to the universal claim
-    covered = set(_points(m, mode)) <= set(numeral_image(m))
-    universal, instances = numeral_chain(m, x, b, mode)
-    if universal and not all(instances):
-        return f"a numeral instance of x{x} escapes {b}"
-    if covered and all(instances) and not universal:
-        return (
-            f"numeral instances of x{x} do not lift to the "
-            f"universal claim {b}"
-        )
-    return None
+    # instances must also add back up to the universal claim.  Numerals
+    # 0..size reach every point of the numeral image in every model.
+    covered = c.full
+    for numbered, outside in zip(c.image, c.outside):
+        covered &= numbered | outside
+    universal = _evaluate(c, _closure(ForAll(x, b)), {})
+    instances = c.full
+    for k in range(c.size + 1):
+        instances &= _evaluate(c, _closure(substitute(b, x, numeral(k))), {})
+    return [
+        (universal & ~instances, f"a numeral instance of x{x} escapes {b}"),
+        (covered & instances & ~universal,
+         f"numeral instances of x{x} do not lift to the universal claim {b}"),
+    ]
 
 
 LAWS = {
@@ -773,91 +947,23 @@ LAWS = {
 FAMILIES = tuple(LAWS)
 
 
-# --------------------------------------------------------------------------
-# the memo metacheck keeps while it sweeps one size: a decision trie per
-# case, keyed by the cells the case read (numbered as in _tables).  An
-# internal node is a list [cell, child for value 0, child for value 1, ...],
-# a leaf a 1-tuple holding the case's result, and None a branch not taken.
-
-_CLEAN = (None,)  # the one leaf of every case that found no violation
-
-
-class _Row:
-    """succ, or one row of add, mul or eq, as a _Reader hands it out."""
-
-    __slots__ = ("_reads", "_cells", "_range")
-
-    def __init__(self, reader: _Reader, first: int):
-        self._reads, self._cells = reader._reads, reader._cells
-        self._range = range(first, first + reader.size)
-
-    def __getitem__(self, i: int) -> int:
-        cell = self._range[i]
-        return self._reads.setdefault(cell, self._cells[cell])
-
-
-class _Reader:
-    """A model as a case sees it on a miss: size, zero and the four tables,
-    with the first read of each cell recorded in order.  Any other
-    attribute raises AttributeError, and comparing or printing the whole
-    model TypeError, so the result of a case depends on the mode, the size
-    and the recorded reads alone.  No row refers back to the reader, so a
-    reader is freed as soon as its case returns."""
-
-    __slots__ = ("size", "succ", "add", "mul", "eq", "_reads", "_cells")
-
-    def __init__(self, size: int, cells: tuple[int, ...]):
-        self.size, self._reads, self._cells = size, {}, cells
-        self.succ = _Row(self, 1)
-        self.add, self.mul, self.eq = _tables(size, partial(_Row, self))
-
-    @property
-    def zero(self) -> int:
-        return self._reads.setdefault(0, self._cells[0])
-
-    def _whole(self, *_):
-        raise TypeError("a case reads a model cell by cell, not as a whole")
-
-    __eq__ = __str__ = _whole
-
-
-def _decide(trie: list, case, size: int, cells: tuple[int, ...], mode: str):
-    """The result of case on the model of these cells, from the leaf of
-    the models that agree with it on the cells the case read; on a miss
-    the case runs on a _Reader, and the cells it read, in order, become a
-    new path down from trie[0].  An exception leaves the trie as it was."""
-    node = trie[0]
-    while node.__class__ is list:
-        node = node[cells[node[0]] + 1]
-    if node is not None:
-        return node[0]
-    reader = _Reader(size, cells)
-    detail = case(reader, mode)
-    owner, slot = trie, 0
-    for cell, value in reader._reads.items():
-        if owner[slot] is None:
-            owner[slot] = [cell] + [None] * max(size, 2)  # eq cells: 0, 1
-        owner, slot = owner[slot], value + 1
-    owner[slot] = _CLEAN if detail is None else (detail,)
-    return detail
-
-
-def _swap(size: int, z: int):
-    """The map from a model's cells to those of its image under the swap
-    (0 z) of the domain: the image's cell at a (and b) is the model's at
-    (0 z)(a) (and (0 z)(b)), its value swapped too unless it is an eq cell."""
-    sigma = list(range(size))
-    sigma[0], sigma[z] = z, 0
-    moved = itemgetter(0, *(1 + a for a in sigma), *(
-        table[a][b] for table in _tables(size, lambda first: range(first, first + size))
-        for a in sigma for b in sigma))
-    algebra = _algebra_cells(size)
-
-    def swap(cells: tuple[int, ...]) -> tuple[int, ...]:
-        cells = moved(cells)
-        return (*map(sigma.__getitem__, cells[:algebra]), *cells[algebra:])
-
-    return swap
+def _violations(cases, c: _Chunk, flat: bytes) -> list[Violation]:
+    """The violations of the cases in chunk c, in (model, case) order; an
+    Interpretation is built only for a model that breaks a case."""
+    hits = []  # (model, case, detail)
+    for i, (_, case) in enumerate(cases):
+        for mask, detail in case(c):
+            bits = bin(mask)[:1:-1]  # bit k at position k
+            k = bits.find("1")
+            while k >= 0:
+                hits.append((k, i, detail))
+                k = bits.find("1", k + 1)
+    width, found, last = _width(c.size), [], None
+    for k, i, detail in sorted(hits):
+        if k != last:
+            last, m = k, _model(c.size, tuple(flat[k * width : (k + 1) * width]))
+        found.append(Violation(cases[i][0], m, detail))
+    return found
 
 
 def metacheck(
@@ -873,11 +979,9 @@ def metacheck(
     than FULL_SWEEP_LIMIT algebras raises ModelOptionError, as do an
     unknown family or mode and a bad budget.
 
-    Each case runs once per distinct reading of the cells it looks at:
-    its result is reused for every later model of the same size that
-    agrees on those cells (see _decide).  Only the models whose zero is 0
-    run every case; any other is the image of one of them under a swap
-    (0 z), and decides again only the cases that its preimage breaks."""
+    The models come from _sweep in chunks of at most CHUNK, and each case
+    decides a whole chunk at once (see _Chunk); the violations come out in
+    sweep order, and within a model in case order."""
     families = tuple(families)
     for family in families:
         if family not in LAWS:
@@ -898,38 +1002,22 @@ def metacheck(
         raise ModelOptionError("budget must be 'full' or a positive integer")
 
     cases = [(family, case) for family in families for case in LAWS[family]]
-    every = range(len(cases))
     violations: list[Violation] = []
     examined = 0
     exhausted = True
     reached = max_size
     for size in range(1, max_size + 1):
-        tries = [[None] for _ in cases]
-        swaps = [_swap(size, z) for z in range(1, size)]
-        images = {}  # each image of a zero = 0 violator: the cases it broke
-        for cells in _sweep(size, eq_tables):
-            if budget != "full" and examined >= budget:
-                exhausted = False
+        sweep = _sweep(size, eq_tables)
+        while True:
+            room = CHUNK if budget == "full" else min(CHUNK, budget - examined)
+            flat = bytes(itertools.chain.from_iterable(itertools.islice(sweep, room)))
+            if not flat:
                 break
-            examined += 1
+            examined += len(flat) // _width(size)
             reached = size
-            # a model whose zero is z decides again, for its own detail, only
-            # the cases that its preimage under the swap (0 z) broke
-            if cells[0]:
-                run = images.get(cells, ()) if images else ()
-            else:
-                run = every
-            m, broken = None, []  # m is built only for a model with a violation
-            for i in run:
-                family, case = cases[i]
-                detail = _decide(tries[i], case, size, cells, mode)
-                if detail is not None:
-                    m = m or _model(size, cells)
-                    violations.append(Violation(family, m, detail))
-                    broken.append(i)
-            if broken and not cells[0]:
-                images.update((swap(cells), broken) for swap in swaps)
-        if not exhausted:
+            violations += _violations(cases, _Chunk(size, flat, mode), flat)
+        if next(sweep, None) is not None:  # the budget ran out first
+            exhausted = False
             break
     return MetacheckReport(
         families=families,

@@ -34,21 +34,43 @@ from arithlab.models import (
     restrict,
     satisfies,
     term_value,
+    CHUNK,
+    _algebra_cells,
     _apply_succ,
-    _decide,
+    _assignments,
+    _Chunk,
+    _chain_case,
+    _closure,
+    _collapse_case,
+    _duality_case,
+    _eq_checks,
     _equivalences,
+    _evaluate,
     _model,
-    _Reader,
+    _points,
+    _read,
+    _remap,
+    _semantics,
+    _substitution_case,
     _sweep,
+    _truth_case,
+    _value,
 )
 from arithlab.syntax import (
+    Add,
     ArithlabError,
+    Eq,
+    Implies,
     NodeValueError,
+    Var,
+    Zero,
     parse_formula,
     parse_term,
     tarski,
     to_text,
 )
+
+from conftest import rand_formula, rand_term
 
 STANDARD_TWO = normal_interpretation(
     size=2, zero=0, succ=(1, 0),
@@ -337,21 +359,40 @@ def test_random_congruent_tables_are_congruences():
         assert _is_congruence_by_definition(m)
 
 
+def _flat(models) -> bytes:
+    """The cells of the models one after another, as metacheck reads a chunk."""
+    return bytes(itertools.chain.from_iterable(models))
+
+
+def _one_hot(value: tuple, k: int) -> int:
+    """The element a one-hot value of a chunk holds in its k-th model."""
+    (v,) = (v for v, on in enumerate(value) if on >> k & 1)
+    return v
+
+
 @pytest.mark.parametrize("size", [1, 2, 3, 4])
 def test_reader_and_model_read_one_cell_layout(size):
+    # the chunk reads each model's cells where _model does, bit k of every
+    # mask for the k-th model; one-hot values hold one element a model
     rng = random.Random(size)
     domain = range(size)
-    for _ in range(20):
-        cells = (*(rng.randrange(size) for _ in range(1 + size + 2 * size * size)),
-                 *(rng.randrange(2) for _ in range(size * size)))
-        m, reader = _model(size, cells), _Reader(size, cells)
-        assert reader.zero == m.zero
-        assert [reader.succ[a] for a in domain] == list(m.succ)
-        for name in ("add", "mul", "eq"):
-            assert [[getattr(reader, name)[a][b] for b in domain] for a in domain] \
-                == [list(row) for row in getattr(m, name)]
-        # every cell was read once, each at its own number
-        assert sorted(reader._reads) == list(range(len(cells)))
+    chunk = [(*(rng.randrange(size) for _ in range(_algebra_cells(size))),
+              *(rng.randrange(2) for _ in range(size * size))) for _ in range(20)]
+    for mode in MODES:
+        c = _Chunk(size, _flat(chunk), mode)
+        assert c.full == 2 ** len(chunk) - 1
+        for k, cells in enumerate(chunk):
+            m = _model(size, cells)
+            assert _one_hot(c.zero, k) == m.zero
+            assert [_one_hot(c.succ[a], k) for a in domain] == list(m.succ)
+            for name in ("add", "mul"):
+                assert [[_one_hot(getattr(c, name)[a][b], k) for b in domain]
+                        for a in domain] == [list(row) for row in getattr(m, name)]
+            assert [[c.eq[a][b] >> k & 1 for b in domain] for a in domain] \
+                == [list(row) for row in m.eq]
+            assert [d for d in domain if c.image[d] >> k & 1] == sorted(numeral_image(m))
+            assert [d for d in domain if c.points[d] >> k & 1] == sorted(_points(m, mode))
+            assert [_one_hot(value, k) for value in c.const] == list(domain)
 
 
 # ------------------------------------------------------------ metacheck
@@ -487,46 +528,89 @@ def test_every_law_family_keeps_its_case_count():
         "duality": 3, "substitution": 4, "collapse": 30, "chain": 3}
 
 
-# ------------------------------------------------------ metacheck's memo
+# ------------------------------------------------- the per-model spec
+# metacheck decides each case on a whole chunk of models at once.  These
+# per-model cases are the spec it must match: each decides one model by
+# tarski, from the items its chunk case carries in LAWS, and gives the
+# detail of the violation it finds, or None.
+
+
+def spec_truth_case(premises, conclusion, detail, m, mode):
+    _, atom, over = _semantics(m, mode)
+    if all(tarski(f, {}, atom, over) for f in premises) and not tarski(
+            conclusion, {}, atom, over):
+        return detail
+    return None
+
+
+def spec_duality_case(x, b, dual, variables, m, mode):
+    points, atom, over = _semantics(m, mode)
+    values = sorted(points)  # in domain order
+    for env in _assignments(values, variables):
+        direct = any(tarski(b, {**env, x: d}, atom, over) for d in values)
+        if direct != tarski(dual, env, atom, over):
+            return f"existential duality breaks for x{x} in {b} at {env}"
+    return None
+
+
+def spec_substitution_case(b, x, t, sub, fv, m, mode):
+    points, atom, over = _semantics(m, mode)
+    for env in _assignments(range(m.size), fv):
+        seen = _read(m, env, points)
+        lhs = tarski(sub, seen, atom, over)
+        rhs = tarski(b, _read(m, {**env, x: _value(m, t, seen)}, points), atom, over)
+        if lhs != rhs:
+            return f"substitution lemma breaks for {t} into x{x} of {b} at {env}"
+    return None
+
+
+def spec_collapse_case(x, b, universal, fv, m, mode):
+    points, atom, over = _semantics(m, mode)
+    lhs = tarski(universal, {}, atom, over)
+    rhs = all(
+        tarski(b, {**env, x: d}, atom, over)
+        for env in _assignments(sorted(points), fv)
+        for d in points
+    )
+    if lhs != rhs:
+        return f"quantifier collapse mismatch for x{x} in {b}"
+    return None
+
+
+def spec_chain_case(x, b, m, mode):
+    covered = set(_points(m, mode)) <= set(numeral_image(m))
+    universal, instances = numeral_chain(m, x, b, mode)
+    if universal and not all(instances):
+        return f"a numeral instance of x{x} escapes {b}"
+    if covered and all(instances) and not universal:
+        return f"numeral instances of x{x} do not lift to the universal claim {b}"
+    return None
+
+
+SPEC = {_truth_case: spec_truth_case, _duality_case: spec_duality_case,
+        _substitution_case: spec_substitution_case,
+        _collapse_case: spec_collapse_case, _chain_case: spec_chain_case}
 
 
 def _direct_violations(sweep, families, mode):
-    """What metacheck reports, from every case run on every model."""
+    """What metacheck reports, from the spec of every case run on every model."""
     return tuple(
         Violation(family, m, detail)
         for m in sweep
         for family in families
         for case in LAWS[family]
-        if (detail := case(m, mode)) is not None
+        if (detail := SPEC[case.func](*case.args, m, mode)) is not None
     )
 
 
-def _swapped(size: int, cells: tuple[int, ...]) -> tuple[int, ...]:
-    """The cells of the image of the model of these cells under the swap
-    (0 z) of its domain, z its zero: a model whose zero is 0."""
-    m = _model(size, cells)
-    s, domain = list(range(size)), range(size)
-    s[0], s[m.zero] = m.zero, 0
-    return (s[m.zero], *(s[m.succ[s[a]]] for a in domain),
-            *(s[t[s[a]][s[b]]] for t in (m.add, m.mul) for a in domain for b in domain),
-            *(m.eq[s[a]][s[b]] for a in domain for b in domain))
-
-
 def _thinned(monkeypatch, strides):
-    """Make metacheck sweep the cells of every strides[size]-th model whose
-    zero is 0, and of each image of those under a swap (0 z), so that whole
-    relabelling classes are kept; return that enumeration as models.  Every
-    case run on every model costs about 3 ms a model for the ten families,
-    so a full size-2 sweep would take 6 s a mode."""
+    """Make metacheck sweep the cells of every strides[size]-th model, and
+    return that enumeration as models.  The spec of every case run on every
+    model costs about 3 ms a model for the ten families, so a full size-2
+    sweep would take 6 s a mode."""
 
     def thinned(size, eq_tables="identity"):
-        kept = set()  # the zero = 0 models kept; the sweep yields them first
-        for i, cells in enumerate(_sweep(size, eq_tables)):
-            if not cells[0] and i % strides[size] == 0:
-                kept.add(cells)
-                yield cells
-            elif cells[0] and _swapped(size, cells) in kept:
-                yield cells
+        return itertools.islice(_sweep(size, eq_tables), 0, None, strides[size])
 
     monkeypatch.setattr("arithlab.models._sweep", thinned)
     return lambda size, eq_tables="identity": map(
@@ -536,7 +620,7 @@ def _thinned(monkeypatch, strides):
 @pytest.mark.parametrize("mode", MODES)
 def test_memoised_metacheck_matches_every_case_run_directly(mode, monkeypatch):
     thinned = _thinned(monkeypatch, {1: 1, 2: 7, 3: 97})
-    budget = 1 + 2 * 147 + 30  # all of sizes 1 and 2, then into size 3
+    budget = 1 + 293 + 30  # all of sizes 1 and 2, then into size 3
     report = metacheck(3, FAMILIES, mode, budget)
     assert report.max_size == 3 and report.examined == budget
     sweep = itertools.chain(thinned(1), thinned(2), thinned(3))
@@ -556,79 +640,97 @@ def test_memoised_congruent_metacheck_matches_every_case_run_directly(mode, monk
     assert report.violations == _direct_violations(sweep, families, mode)
 
 
-def _plain_violations(max_size, families, mode, budget, eq_tables):
-    """What metacheck reports if it decides every case on every model of the
-    sweep, through a trie per case and size, and relabels none."""
-    cases = [(family, case) for family in families for case in LAWS[family]]
-    sweep = ((size, cells) for size in range(1, max_size + 1)
-             for cells in _sweep(size, eq_tables))
-    tries, found = {}, []
-    for size, cells in itertools.islice(sweep, budget):
-        for (family, case), trie in zip(cases, tries.setdefault(size, [[None] for _ in cases])):
-            if (detail := _decide(trie, case, size, cells, mode)) is not None:
-                found.append(Violation(family, _model(size, cells), detail))
-    return tuple(found)
+def _sha256(report) -> str:
+    return hashlib.sha256(str(report).encode()).hexdigest()
 
 
-def _zero_probe(m, mode):
-    # judged alike on a model and its relabelled images, named by zero
-    if m.succ[m.zero] == m.zero:
-        return f"zero {m.zero} is its own successor"
-    return None
+# the sha256 of str(report) as metacheck gave it when it ran each case on the
+# models whose zero is 0 alone, through decision tries, and found every other
+# model's violations by relabelling: in full, and under a budget that cut the
+# size-2 sweep inside its zero = 1 block
+PLAIN_SWEEP_SHA256 = {
+    ("standard", "identity"): (
+        "8fd7b8845902bd239917aa2346cb2b3e976061b47c46e51f547926e62e65e53b",
+        "54a5fcca8da2a47734c1deb8383820fe31dfe36e5ba1d6dc9e4caa88ae44a6f6"),
+    ("parameterized", "identity"): (
+        "9cd2608c648217de8783d86a6d78c3ee344838926e38a39c16b70f51506f1d48",
+        "c8bc39cfa76df54071754f5cb0aa0171d3505d8bd52f6262c27bebeb1dcf8c3f"),
+    ("standard", "congruent"): (
+        "61d4dfca22f6f2aab4efe6de0ad25e0a87731daaf1b67a529aeb8bc09753c784",
+        "a47a7bd57641e9d20eb14f0ad9d0c4bdb7ae85ead6a3f9deecac6eff19aba119"),
+    ("parameterized", "congruent"): (
+        "2c311416d2143757fb405b22f2b38b0aef139d306562ccd6e49af0ab96505fd3",
+        "be23034085072c5cfe9b8de7cbed8d3d368ed1bec6612d95061154ca59480162"),
+}
 
 
-# 1,500 and 3,000 cut the size-2 sweep inside its zero = 1 block; the
-# congruent collapse sweeps alone would take about 2 s
 @pytest.mark.parametrize("eq_tables, models, cut, families", [
     ("identity", 2049, 1500, FAMILIES),
     ("congruent", 4097, 3000, tuple(family for family in FAMILIES if family != "collapse")),
 ], ids=["identity", "congruent"])
 @pytest.mark.parametrize("mode", MODES)
-def test_relabelled_metacheck_matches_the_plain_sweep(mode, eq_tables, models, cut,
-                                                      families, monkeypatch):
-    for budget in (None, cut):
-        report = metacheck(2, families, mode, budget or "full", eq_tables)
-        assert report.violations == _plain_violations(2, families, mode, budget, eq_tables)
-        assert (report.examined, report.exhausted) == (budget or models, not budget)
-    # no real detail tells a violator from its images, but the probe's
-    # does: an image's detail is its own, not copied from its preimage
-    monkeypatch.setitem(LAWS, "probe", (_zero_probe,))
-    for budget in (None, cut):
-        report = metacheck(2, ("probe",), mode, budget or "full", eq_tables)
-        sweep = itertools.chain(enumerate_interpretations(1, eq_tables),
-                                enumerate_interpretations(2, eq_tables))
-        assert report.violations == _direct_violations(
-            itertools.islice(sweep, budget), ("probe",), mode)
-        assert "zero 1 is its own successor" in {v.detail for v in report.violations}
+def test_relabelled_metacheck_matches_the_plain_sweep(mode, eq_tables, models, cut, families):
+    for budget, pinned in zip(("full", cut), PLAIN_SWEEP_SHA256[mode, eq_tables]):
+        report = metacheck(2, families, mode, budget, eq_tables)
+        assert (report.examined, report.exhausted) == \
+            ((models, True) if budget == "full" else (cut, False))
+        assert _sha256(report) == pinned, budget
 
 
-def test_metacheck_runs_a_case_once_per_reading_of_its_cells(monkeypatch):
+@pytest.mark.parametrize("max_size, budget, counts", [
+    (2, 2048, (2048, False, 2)),
+    (2, 2049, (2049, True, 2)),
+    (2, 2050, (2049, True, 2)),
+    (3, 2049, (2049, False, 2)),  # no size-3 model examined
+])
+def test_a_budget_at_a_chunk_edge_cuts_where_it_did(max_size, budget, counts):
+    report = metacheck(max_size, ("A1",), "standard", budget)
+    assert (report.examined, report.exhausted, report.max_size) == counts
+
+
+def test_a_budget_one_model_past_a_size_3_chunk_matches_the_spec():
+    # the size-3 models come in a chunk of CHUNK and a chunk of one
+    families, budget = ("A4", "substitution"), 1 + 2048 + CHUNK + 1
+    report = metacheck(3, families, "parameterized", budget)
+    assert (report.examined, report.exhausted, report.max_size) == (budget, False, 3)
+    sweep = itertools.chain(*map(enumerate_interpretations, (1, 2, 3)))
+    assert report.violations == _direct_violations(
+        itertools.islice(sweep, budget), families, "parameterized")
+
+
+def _counted(calls: list, run):
+    """run, appending to calls the width of each chunk it decides."""
+    return lambda c: calls.append(c.full.bit_length()) or run(c)
+
+
+def test_metacheck_runs_each_case_once_per_chunk(monkeypatch):
     runs = []
-
-    def counted(case):
-        return lambda m, mode: runs.append(m) or case(m, mode)
-
-    monkeypatch.setitem(LAWS, "A4", tuple(map(counted, LAWS["A4"])))
-    report = metacheck(2, ("A4",), "parameterized")
+    monkeypatch.setitem(LAWS, "A4", tuple(map(partial(_counted, runs), LAWS["A4"])))
+    report = metacheck(2, ("A4",), "parameterized", eq_tables="congruent")
     assert len(report.violations) == 512
-    # 5 cases x 2049 models run directly; far fewer readings differ
-    assert 5 <= len(runs) < 5 * report.examined // 10
+    # 5 cases on the 1 + 4096 models of sizes 1 and 2, in chunks of 1,
+    # CHUNK and CHUNK models
+    assert runs == [1] * 5 + [CHUNK] * 5 + [CHUNK] * 5
 
 
-# the case runs of each sweep the lawhunt benchmark makes at size 2, per
-# mode, eq filter and family: 2,176 standard, 1,641 parameterized and 89
-# congruent in all.  They are runs on models whose zero is 0, and on those
-# images of violators that no trie leaf answers.  A change to the cells
-# any case reads, or to their order, changes the tries and so these counts.
+# the case runs and the evaluations (_evaluate calls) of each sweep the
+# lawhunt benchmark makes at size 2, per mode, eq filter and family.  A case
+# runs once a chunk: size 1 is one chunk and size 2 one chunk, or two under
+# the congruent filter.  The evaluations count the formulas each case
+# evaluates, once for each assignment it sweeps, so they are the same in
+# both modes.
 LAWHUNT_CASE_RUNS = {
     ("standard", "identity"): {
-        "A1": 7, "A2": 5, "A3": 4, "A4": 16, "A5": 6, "rules": 31,
-        "duality": 9, "substitution": 25, "collapse": 2053, "chain": 20},
+        "A1": (6, 6), "A2": (4, 4), "A3": (4, 4), "A4": (10, 10), "A5": (6, 6),
+        "rules": (12, 30), "duality": (6, 21), "substitution": (8, 33),
+        "collapse": (60, 242), "chain": (6, 21)},
     ("parameterized", "identity"): {
-        "A1": 12, "A2": 8, "A3": 8, "A4": 27, "A5": 12, "rules": 62,
-        "duality": 12, "substitution": 33, "collapse": 1448, "chain": 19},
+        "A1": (6, 6), "A2": (4, 4), "A3": (4, 4), "A4": (10, 10), "A5": (6, 6),
+        "rules": (12, 30), "duality": (6, 21), "substitution": (8, 33),
+        "collapse": (60, 242), "chain": (6, 21)},
     ("standard", "congruent"): {
-        "A1": 10, "A2": 7, "A3": 5, "A4": 27, "A5": 8, "rules": 32},
+        "A1": (9, 9), "A2": (6, 6), "A3": (6, 6), "A4": (15, 15), "A5": (9, 9),
+        "rules": (18, 45)},
 }
 
 
@@ -637,77 +739,146 @@ LAWHUNT_REPORTS_SHA256 = "19f3a58ac0487e9ded94f60b11558fa1173742e6f4aa3869f4e84d
 
 
 def test_lawhunt_sweeps_run_their_cases_as_often_as_pinned(monkeypatch):
-    readers = []  # one _Reader per case run
-    monkeypatch.setattr("arithlab.models._Reader",
-                        lambda *args: readers.append(args) or _Reader(*args))
+    runs, evaluations = [], []
+    for family, cases in list(LAWS.items()):
+        monkeypatch.setitem(LAWS, family, tuple(map(partial(_counted, runs), cases)))
+    monkeypatch.setattr("arithlab.models._evaluate",
+                        lambda *args: evaluations.append(args) or _evaluate(*args))
     reports = hashlib.sha256()
     for (mode, eq), pinned in LAWHUNT_CASE_RUNS.items():
-        runs = {}
+        counts = {}
         for family in pinned:
-            readers.clear()
+            runs.clear()
+            evaluations.clear()
             reports.update(str(metacheck(2, (family,), mode, eq_tables=eq)).encode())
-            runs[family] = len(readers)
-        assert runs == pinned, (mode, eq)
+            counts[family] = (len(runs), len(evaluations))
+        assert counts == pinned, (mode, eq)
     assert reports.hexdigest() == LAWHUNT_REPORTS_SHA256
 
 
 # a duality case sweeps the free variables of exists(x, b), and so not x,
-# which both of its sides bind; the top-level tarski calls of the plain
-# sweep, which decides the case on every model, show it
-@pytest.mark.parametrize("mode, calls", [("standard", 40), ("parameterized", 66)])
+# which both of its sides bind.  Per assignment it evaluates the dual once
+# and b once a value of x: over sizes 1 and 2 that is 3 + 5 assignments and
+# 21 evaluations; sweeping x as well would take 3 + 10 and 36.
+@pytest.mark.parametrize("mode, calls", [("standard", 21), ("parameterized", 21)])
 def test_duality_sweeps_only_the_free_variables_of_its_dual(mode, calls, monkeypatch):
     made = []
-    monkeypatch.setattr("arithlab.models.tarski",
-                        lambda *args: made.append(args) or tarski(*args))
-    _plain_violations(2, ("duality",), mode, None, "identity")
-    assert len(made) == calls
-
-
-# metacheck decides the same case only on the models whose zero is 0 and
-# on the images of its violators, and so calls tarski less often
-@pytest.mark.parametrize("mode, calls", [("standard", 33), ("parameterized", 36)])
-def test_relabelled_duality_calls_tarski_less_often(mode, calls, monkeypatch):
-    made = []
-    monkeypatch.setattr("arithlab.models.tarski",
-                        lambda *args: made.append(args) or tarski(*args))
+    monkeypatch.setattr("arithlab.models._evaluate",
+                        lambda *args: made.append(args) or _evaluate(*args))
     metacheck(2, ("duality",), mode)
     assert len(made) == calls
 
 
-@pytest.mark.parametrize("peek", [
-    lambda m: m.normal,
-    lambda m: format_interpretation(m),
-    lambda m: f"{m}",
-    lambda m: m == WITNESS_MODEL,
-    lambda m: m.add[0][m.size],
-])
-def test_a_case_that_reads_past_the_cells_raises(peek, monkeypatch):
-    # a result that rested on anything but the recorded cells could not
-    # be reused for every model that agrees on them
-    monkeypatch.setitem(LAWS, "peek", (lambda m, mode: peek(m) and None,))
-    with pytest.raises((AttributeError, IndexError, TypeError)):
-        metacheck(2, ("peek",))
+@pytest.mark.parametrize("mode", MODES)
+def test_metacheck_calls_no_tarski(mode, monkeypatch):
+    made = []
+    monkeypatch.setattr("arithlab.models.tarski",
+                        lambda *args: made.append(args) or tarski(*args))
+    assert metacheck(2, FAMILIES, mode).examined == 2049
+    assert made == []
 
 
-def _reads(m: Interpretation, run) -> list[int]:
-    """The cells of m that run reads from a _Reader of m, in order."""
-    reader = _Reader(m.size, (m.zero, *m.succ, *itertools.chain(*m.add, *m.mul, *m.eq)))
-    run(reader)
-    return list(reader._reads)
+# ------------------------------------------------- the chunk evaluator
 
 
-def test_successor_reads_succ_only_along_the_steps_it_takes():
-    # STANDARD_TWO has succ = (1, 0); cell 1 is succ[0]
-    term = parse_term("S(x1)")
-    assert _reads(STANDARD_TWO, lambda m: term_value(m, term, {1: 0})) == [1]
+_IDENTITY_3 = tuple(itertools.chain(*identity_eq(3)))
 
 
-def test_a_variable_reads_zero_only_when_unassigned():
-    # cells 11 and 14 of a size-2 model are eq[0][0] and eq[1][1]
-    f = parse_formula("forall x1 . (x1 = x1)")
-    assert _reads(STANDARD_TWO, lambda m: is_true(m, f, "standard")) == [11, 14]
-    x2 = parse_term("x2")
-    assert _reads(STANDARD_TWO, lambda m: term_value(m, x2, {})) == [0]
+def _chunks():
+    """(size, cells) of every model of sizes 1 and 2, each size one chunk,
+    and of a seeded chunk of size-3 models."""
+    rng = random.Random(33)
+    size_3 = [(*(rng.randrange(3) for _ in range(_algebra_cells(3))), *_IDENTITY_3)
+              for _ in range(200)]
+    return [(1, list(_sweep(1, "identity"))), (2, list(_sweep(2, "identity"))), (3, size_3)]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_chunk_evaluator_matches_the_single_model_path(mode):
+    rng = random.Random(9)
+    formulas = [rand_formula(rng, 3) for _ in range(16)]
+    terms = [rand_term(rng, 3) for _ in range(10)]
+    terms += [parse_term("S(S(S(S(S(x2)))))"), parse_term(f"(num({10**12 + 1}) * x1)")]
+    remapped = 0  # assigned values outside the points, read as zero
+    for size, chunk in _chunks():
+        c, models = _Chunk(size, _flat(chunk), mode), [_model(size, cells) for cells in chunk]
+        env = {1: size - 1}  # x2 and x3 unassigned
+        seen = {x: _remap(c, c.const[d]) for x, d in env.items()}
+        remapped += sum(size - 1 not in _points(m, mode) for m in models)
+        for f in formulas:
+            truth, satisfied = _evaluate(c, _closure(f), {}), _evaluate(c, f, seen)
+            for k, m in enumerate(models):
+                assert truth >> k & 1 == is_true(m, f, mode), (to_text(f), k)
+                assert satisfied >> k & 1 == satisfies(m, env, f, mode), (to_text(f), k)
+        for t in terms:
+            value = _evaluate(c, t, seen)
+            read = _remap(c, value)
+            for k, m in enumerate(models):
+                v = term_value(m, t, env, mode)
+                assert _one_hot(value, k) == v, (to_text(t), k)
+                assert _one_hot(read, k) == _read(m, {1: v}, _points(m, mode))[1]
+    assert remapped > 0 if mode == "parameterized" else remapped == 0
+
+
+def test_the_chunk_evaluator_takes_trees_nested_past_the_recursion_limit():
+    # a sum and an antecedent chain 10**4 deep, which tarski and the
+    # single-model term walk recurse on
+    depth, models = 10**4, list(_sweep(2, "identity"))[::97]
+    c, x1 = _Chunk(2, _flat(models), "standard"), Var(1)
+    total, claim = x1, Eq(x1, Zero())
+    for _ in range(depth):
+        total, claim = Add(total, x1), Implies(claim, Eq(x1, Zero()))
+    seen = {1: c.const[1]}
+    value, truth = _evaluate(c, total, seen), _evaluate(c, claim, seen)
+    for k, m in enumerate(map(partial(_model, 2), models)):
+        v, holds = 1, m.eq[1][m.zero] == 1
+        for _ in range(depth):
+            v, holds = m.add[v][1], not holds or m.eq[1][m.zero] == 1
+        assert (_one_hot(value, k), truth >> k & 1) == (v, holds), k
+
+
+def test_the_chunk_evaluator_names_a_non_tree():
+    c = _Chunk(1, bytes(_algebra_cells(1) + 1), "standard")
+    with pytest.raises(ArithlabError, match="^not a term or formula: "):
+        _evaluate(c, Eq(Zero(), "x1"), {})
+
+
+# ------------------------------------------------------------ the sweep
+
+
+def _respecting(rng, size: int, eq) -> tuple[int, ...]:
+    """Random algebra cells that respect the equivalence eq: an operation
+    sends arguments of given classes into one class, to any of its elements."""
+    classes = [tuple(b for b in range(size) if row[b]) for row in eq]  # a's class
+    into = {}  # the class of an operation's values, by its arguments' classes
+
+    def value(*key):
+        return rng.choice(into.setdefault(key, rng.choice(classes)))
+
+    return (rng.randrange(size), *(value("succ", classes[a]) for a in range(size)),
+            *(value(op, classes[a], classes[b])
+              for op in ("add", "mul") for a in range(size) for b in range(size)))
+
+
+def test_the_sweep_tests_only_the_eq_tables_an_algebra_may_break():
+    # every algebra respects identity and the total relation, so the sweep
+    # tests the other equivalences alone; sizes 1 and 2 have no other, and
+    # test_enumeration_order_is_that_of_nested_loops_over_the_tables checks
+    # their sweeps against the definition
+    rng = random.Random(5)
+    checks = _eq_checks(3, "congruent")
+    assert [eq for eq, check in checks if check is None] == [_IDENTITY_3, (1,) * 9]
+    outcomes = set()
+    for eq, check in checks:
+        table = _model(3, (0,) * _algebra_cells(3) + eq).eq
+        for _ in range(100):
+            for algebra in (tuple(rng.randrange(3) for _ in range(_algebra_cells(3))),
+                            _respecting(rng, 3, table)):
+                cells = algebra + eq
+                kept = check is None or check(cells)
+                assert kept == _is_congruence_by_definition(_model(3, cells))
+                outcomes.add(kept)
+    assert outcomes == {False, True}
 
 
 def test_successor_powers_match_stepping_one_at_a_time():
