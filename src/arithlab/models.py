@@ -24,6 +24,11 @@ is what metacheck hunts for: it enumerates small interpretations and
 evaluates pinned instance families, reporting every (interpretation,
 instance) pair on which an expected law breaks.
 
+A model's cells have one layout, _layout's: zero, succ[a], then the rows
+of add, mul and eq, one item a cell.  The sweep, the file reader, restrict
+and random_interpretation make models as cells, _model validates them
+through _layout, and the chunks and the congruence test read it too.
+
 Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
 COLLAPSE_CASES.  Their closures, bodies and variable lists are prepared
@@ -207,24 +212,19 @@ def parse_interpretation(text: str) -> Interpretation:
     size = size_list[0]
     if size < 1:
         raise ModelError("domain must have at least one element")
-
-    def table(key: str) -> tuple[tuple[int, ...], ...]:
-        flat = ints(key)
-        if len(flat) != size * size:
-            raise ModelError(
-                f"field {key!r}: expected {size * size} entries, got {len(flat)}"
-            )
-        return tuple(
-            tuple(flat[r * size : (r + 1) * size]) for r in range(size)
-        )
-
     succ = ints("succ")
     if len(succ) != size:
         raise ModelError(f"field 'succ': expected {size} entries")
-    eq = identity_eq(size) if fields["eq"] == ["identity"] else table("eq")
-    return Interpretation(
-        size, zero_list[0], tuple(succ), table("add"), table("mul"), eq
-    )
+    if fields["eq"] == ["identity"]:  # the identity table, spelled out
+        fields["eq"] = [str(int(a == b)) for a in range(size) for b in range(size)]
+    rows = {}
+    for key in ("eq", "add", "mul"):  # eq's faults are named before add's
+        rows[key] = ints(key)
+        if len(rows[key]) != size * size:
+            raise ModelError(
+                f"field {key!r}: expected {size * size} entries, got {len(rows[key])}"
+            )
+    return _model(size, (*zero_list, *succ, *rows["add"], *rows["mul"], *rows["eq"]))
 
 
 # --------------------------------------------------------------------------
@@ -363,6 +363,7 @@ def restrict(m: Interpretation) -> Interpretation:
     discovery order.  Raises RestrictError when plus or times escapes."""
     image = numeral_image(m)
     index = {v: i for i, v in enumerate(image)}
+    cells = [0, *(index[m.succ[v]] for v in image)]
     for name, table in (("add", m.add), ("mul", m.mul)):
         for a in image:
             for b in image:
@@ -371,15 +372,9 @@ def restrict(m: Interpretation) -> Interpretation:
                         f"{name}({a}, {b}) = {table[a][b]} lies outside "
                         f"the numeral image {list(image)}"
                     )
-    size = len(image)
-    return Interpretation(
-        size=size,
-        zero=0,
-        succ=tuple(index[m.succ[v]] for v in image),
-        add=tuple(tuple(index[m.add[a][b]] for b in image) for a in image),
-        mul=tuple(tuple(index[m.mul[a][b]] for b in image) for a in image),
-        eq=tuple(tuple(m.eq[a][b] for b in image) for a in image),
-    )
+                cells.append(index[table[a][b]])
+    cells += (m.eq[a][b] for a in image for b in image)
+    return _model(len(image), tuple(cells))
 
 
 # --------------------------------------------------------------------------
@@ -396,7 +391,7 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
     return map(partial(_model, size), _sweep(size, eq_tables))
 
 
-def _algebra_cells(size: int) -> int:  # the cells before eq's, see _tables
+def _algebra_cells(size: int) -> int:  # the cells before eq's, see _layout
     return 1 + size + 2 * size * size
 
 
@@ -404,17 +399,17 @@ def _width(size: int) -> int:  # all of a model's cells, eq's too
     return _algebra_cells(size) + size * size
 
 
-def _tables(size: int, row) -> tuple[tuple, tuple, tuple]:
-    """The one layout of a model's cells: zero, succ[a], then the rows of add,
-    mul and eq, as tuples of rows; row(first) makes the row from cell first."""
-    rows = tuple(map(row, range(1 + size, _width(size), size)))
-    return rows[:size], rows[size : 2 * size], rows[2 * size :]
+def _layout(size: int, cells) -> tuple:
+    """The one layout of a model's cells: zero, succ[a], then the rows of
+    add, mul and eq.  cells is any sequence with one item per cell; succ
+    and each row are slices of it, and the three tables tuples of rows."""
+    rows = tuple(cells[first : first + size] for first in range(1 + size, _width(size), size))
+    return cells[0], cells[1 : 1 + size], rows[:size], rows[size : 2 * size], rows[2 * size :]
 
 
 def _model(size: int, cells: tuple[int, ...]) -> Interpretation:
     """The validated Interpretation of a model's cells."""
-    add, mul, eq = _tables(size, lambda first: cells[first : first + size])
-    return Interpretation(size, cells[0], cells[1 : 1 + size], add, mul, eq)
+    return Interpretation(size, *_layout(size, cells))
 
 
 def _sweep(size: int, eq_tables: str):
@@ -429,21 +424,16 @@ def _sweep(size: int, eq_tables: str):
 
 
 def _eq_checks(size: int, eq_tables: str) -> list[tuple[tuple[int, ...], object]]:
-    """The eq cells a filter offers, each with the test of a model's cells
-    that keeps it: none for identity and the total relation, which every
-    algebra respects, and the congruence test for any other."""
-    congruence = _congruence_test(size)
-    respected = {tuple(itertools.chain(*identity_eq(size))), (1,) * size * size}
-    return [(eq, None if eq in respected else congruence)
-            for eq in _eq_tables(size, eq_tables)]
-
-
-def _eq_tables(size: int, eq_tables: str) -> list[tuple[int, ...]]:
-    """The eq cells a filter offers: identity, or every equivalence."""
+    """The eq cells a filter offers, identity or every equivalence, each
+    with the test of a model's cells that keeps it: none for identity and
+    the total relation, which every algebra respects, and the congruence
+    test for any other."""
     if eq_tables not in ("identity", "congruent"):
         raise ModelOptionError(f"unknown eq_tables filter {eq_tables!r}")
     tables = _equivalences(size) if eq_tables == "congruent" else [identity_eq(size)]
-    return [tuple(itertools.chain(*eq)) for eq in tables]
+    congruence, respected = _congruence_test(size), (identity_eq(size), ((1,) * size,) * size)
+    return [(tuple(itertools.chain(*eq)), None if eq in respected else congruence)
+            for eq in tables]
 
 
 def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -460,10 +450,10 @@ def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
 def _congruence_test(size: int):
     """A test of a model's cells: whether eq, an equivalence (so reflexive),
     relates the values of succ, add and mul at related distinct arguments."""
-    add, mul, eq = _tables(size, lambda first: range(first, first + size))
+    _, succ, add, mul, eq = _layout(size, range(_width(size)))
 
     def uses(x):  # the cells that take x as an argument, in a fixed order
-        return (1 + x, *add[x], *mul[x], *(row[x] for row in add + mul))
+        return (succ[x], *add[x], *mul[x], *(row[x] for row in add + mul))
 
     checks = [(eq[a][b], tuple(zip(uses(a), uses(b))))
               for a, b in itertools.product(range(size), repeat=2) if a != b]
@@ -478,13 +468,12 @@ def random_interpretation(
     """One random interpretation drawn with rng, a random.Random; with
     "congruent" the equality table is sampled from the congruences of the
     drawn algebra."""
-    eqs = _eq_tables(size, eq_tables)
+    checks = _eq_checks(size, eq_tables)
     # one draw a cell: succ, the rows of add and mul, then zero last
     *ops, zero = (rng.randrange(size) for _ in range(_algebra_cells(size)))
-    options = [(zero, *ops) + eq for eq in eqs]
-    if eq_tables == "congruent":
-        options = [rng.choice(list(filter(_congruence_test(size), options)))]
-    return _model(size, options[0])
+    algebra = (zero, *ops)
+    options = [algebra + eq for eq, check in checks if check is None or check(algebra + eq)]
+    return _model(size, rng.choice(options) if eq_tables == "congruent" else options[0])
 
 
 # --------------------------------------------------------------------------
@@ -696,7 +685,7 @@ CHUNK = 2048
 
 class _Chunk:
     """The cells of up to CHUNK models of one size, in the layout of
-    _tables, and the points of a mode.  zero, succ[a], add[a][b] and
+    _layout, and the points of a mode.  zero, succ[a], add[a][b] and
     mul[a][b] are one-hot values, eq[a][b] a mask; points[d] is the mask
     of the models where d is a point, outside[d] its complement in full,
     and const[d] the value that is d in every model.  Built from flat, the
@@ -717,8 +706,7 @@ class _Chunk:
         cells += [mask(cell, 1) for cell in range(algebra, width)]
         self.size, self.full = size, (1 << len(flat) // width) - 1
         self.laps = math.lcm(*range(1, size + 1))  # each cycle's length divides it
-        self.zero, self.succ = cells[0], tuple(cells[1 : 1 + size])
-        self.add, self.mul, self.eq = _tables(size, lambda first: cells[first : first + size])
+        self.zero, self.succ, self.add, self.mul, self.eq = _layout(size, cells)
         self.const = tuple(tuple(self.full if v == d else 0 for v in range(size))
                            for d in range(size))
         image, reached = list(self.zero), self.zero  # the closure of zero under succ

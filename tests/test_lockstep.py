@@ -204,7 +204,7 @@ def test_the_kernel_and_pf_spell_no_keys(monkeypatch):
 
 
 def test_semantic_eq_of_a_non_tree_is_a_named_error():
-    for a, b in ((1, Var(1)), (Var(1), 1), (Not("x1"), Not(Var(1)))):
+    for a, b in ((1, Var(1)), (Var(1), 1), (Not("x1"), Not(Var(1))), (1, 2)):
         with pytest.raises(NotATreeError):
             semantic_eq(a, b)
 

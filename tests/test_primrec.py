@@ -47,6 +47,7 @@ from arithlab.syntax import (
     conj,
     exists,
     free_vars,
+    parse_formula,
 )
 
 
@@ -314,6 +315,21 @@ def test_certificate_gaps_are_unknown(monkeypatch, formula, ranges, detail):
     monkeypatch.setattr(primrec, "represent", gapped)
     assert str(check_representation(SuccFn(), (1,), 5)) == (
         f"unknown: certificate evaluation failed: {detail}")
+
+
+def test_certificate_eval_values_a_compact_numeral():
+    # num(n) is valued as n, with any successors over it
+    assert certificate_eval(parse_formula("(num(3) = S(num(2)))"), {}, {})
+    assert not certificate_eval(parse_formula("(num(3) = num(2))"), {}, {})
+
+
+def test_a_formula_that_rejects_the_true_output_is_unknown(monkeypatch):
+    def rejecting(f):  # x2 = 0, so f(1) = 2 is not certified
+        return Representation(f, Eq(Var(2), Zero()), (1,), 2, {})
+
+    monkeypatch.setattr(primrec, "represent", rejecting)
+    assert str(check_representation(SuccFn(), (1,), 5)) == (
+        "unknown: could not certify the true output 2 at f(1)")
 
 
 def test_check_representation_refutes_a_formula_without_its_output(
