@@ -33,16 +33,19 @@ Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
 COLLAPSE_CASES.  Their closures, bodies and variable lists are prepared
 when LAWS is built (chain alone builds its numeral instances, which
-depend on the size).  metacheck reads the models' cells from the sweep
-in chunks of at most CHUNK models of one size, and decides each case on
-a whole chunk at once, one bit a model: each cell becomes a one-hot
-tuple of ints, bit k of entry v set where the chunk's k-th model has
-the value v in that cell, so that one walk of a formula (_evaluate)
-gives the mask of every model of the chunk where it holds.  A case that
-names an assignment names, for each model, the first at which it
-breaks.  Reports and budgets are those of deciding every case on every
-model in sweep order, and an Interpretation is built only for a model
-that a violation names.
+depend on the size).  metacheck does not walk the sweep model by model.
+A size's sweep positions are its (algebra, eq table) pairs in _sweep's
+order, and metacheck takes them in windows of at most CHUNK positions.
+It builds each window's cells from the window's start and width alone,
+as periodic bit patterns, with the mask of the positions the sweep
+keeps, and decides each case on the whole window at once, one bit a
+position: each cell is a one-hot tuple of ints, bit k of entry v set
+where the window's k-th position has the value v in that cell, so that
+one walk of a formula (_evaluate) gives the mask of every position where
+it holds.  A case that names an assignment names, for each model, the
+first at which it breaks.  Reports and budgets are those of deciding
+every case on every kept model in sweep order, and an Interpretation is
+built only for a model that a violation names, from its position.
 """
 
 from __future__ import annotations
@@ -184,6 +187,9 @@ def parse_interpretation(text: str) -> Interpretation:
         if not line:
             continue
         key, _, rest = line.partition(" ")
+        if key == "/" or key.lstrip("-").isdecimal():  # a row put on a line of its own
+            raise ModelError(f"line {lineno}: {key!r} is not a field name; "
+                             "a field's numbers stay on that field's line")
         if key in fields:
             raise ModelError(f"line {lineno}: duplicate field {key!r}")
         fields[key] = rest.split()
@@ -674,37 +680,28 @@ def numeral_chain(
 
 
 # --------------------------------------------------------------------------
-# chunks: metacheck decides each case on up to CHUNK models of one size at
-# once, one bit a model (bitslicing).  Bit k of a mask stands for the
-# chunk's k-th model; a value is one-hot, a tuple that holds, for each
-# domain element, the mask of the models where the value is that element;
-# a formula's truth is the mask of the models where it holds.
+# chunks: metacheck decides each case on the models of up to CHUNK sweep
+# positions of one size at once, one bit a model (bitslicing).  Bit k of a
+# mask stands for the chunk's k-th model; a value is one-hot, a tuple that
+# holds, for each domain element, the mask of the models where the value is
+# that element; a formula's truth is the mask of the models where it holds.
 
 CHUNK = 2048
 
 
 class _Chunk:
-    """The cells of up to CHUNK models of one size, in the layout of
-    _layout, and the points of a mode.  zero, succ[a], add[a][b] and
-    mul[a][b] are one-hot values, eq[a][b] a mask; points[d] is the mask
-    of the models where d is a point, outside[d] its complement in full,
-    and const[d] the value that is d in every model.  Built from flat, the
-    models' cells one after another, one byte a cell."""
+    """The cells of count models of one size, in the layout of _layout, and
+    the points of a mode.  zero, succ[a], add[a][b] and mul[a][b] are
+    one-hot values, eq[a][b] a mask; points[d] is the mask of the models
+    where d is a point, outside[d] its complement in full, and const[d] the
+    value that is d in every model.  Built from cells, each a one-hot value
+    or (an eq cell) a mask, in _layout's order."""
 
     __slots__ = ("size", "full", "laps", "zero", "succ", "add", "mul", "eq",
                  "const", "image", "points", "outside")
 
-    def __init__(self, size: int, flat: bytes, mode: str):
-        width, algebra = _width(size), _algebra_cells(size)
-        last = len(flat) - width  # where the last model's cells start
-
-        def mask(cell: int, v: int) -> int:  # of the models whose cell holds v
-            digits = flat[last + cell :: -width]  # the last model's first
-            return int(digits.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
-
-        cells = [tuple(mask(cell, v) for v in range(size)) for cell in range(algebra)]
-        cells += [mask(cell, 1) for cell in range(algebra, width)]
-        self.size, self.full = size, (1 << len(flat) // width) - 1
+    def __init__(self, size: int, count: int, cells: list, mode: str):
+        self.size, self.full = size, (1 << count) - 1
         self.laps = math.lcm(*range(1, size + 1))  # each cycle's length divides it
         self.zero, self.succ, self.add, self.mul, self.eq = _layout(size, cells)
         self.const = tuple(tuple(self.full if v == d else 0 for v in range(size))
@@ -716,6 +713,79 @@ class _Chunk:
         self.image = tuple(image)
         self.points = self.image if mode == "parameterized" else (self.full,) * size
         self.outside = tuple(self.full ^ p for p in self.points)
+
+
+# A size's sweep positions are its (algebra, eq table) pairs in _sweep's
+# order, kept or not: position p holds eq table p % n of the filter's n, and
+# its algebra's cells are the digits of p // n in base size, cell 0 the
+# most significant.  So the mask of the positions in a window where a cell
+# holds v is periodic, and a chunk's cells are built from its window's
+# start and count alone.
+
+
+def _digit_masks(start: int, count: int, run: int, base: int) -> tuple[int, ...]:
+    """For each v < base, the mask of the positions p of the window
+    [start, start + count), bit p - start, whose digit (p // run) % base is
+    v: runs of run ones with period run * base."""
+    period = run * base
+    if period <= count:  # one period turned to the window's start, repeated
+        turn, ones, laps = start % period, (1 << period) - 1, -(-count // period)
+        repunit = ((1 << period * laps) - 1) // ones  # a one every period bits
+        window, out = (1 << count) - 1, []
+        for v in range(base):
+            pattern = ((1 << run) - 1) << v * run
+            pattern = (pattern >> turn | pattern << period - turn) & ones
+            out.append(pattern * repunit & window)
+        return tuple(out)
+    out, end = [0] * base, start + count  # the at most base + 1 runs that meet it
+    for r in range(start // run, (end - 1) // run + 1):
+        low, high = max(r * run, start), min(r * run + run, end)
+        out[r % base] |= ((1 << high - low) - 1) << low - start
+    return tuple(out)
+
+
+def _cell_masks(size: int, checks, start: int, count: int) -> list:
+    """The cells of the window's positions, for _Chunk: a one-hot value
+    for each algebra cell and a mask for each eq cell."""
+    algebra, tables = _algebra_cells(size), _digit_masks(start, count, 1, len(checks))
+    cells: list = [_digit_masks(start, count, len(checks) * size ** (algebra - 1 - j), size)
+                   for j in range(algebra)]
+    # a position holds one table, so the sum of the tables' masks is their union
+    return cells + [sum(on for (eq, _), on in zip(checks, tables) if eq[e])
+                    for e in range(size * size)]
+
+
+def _kept(size: int, checks, start: int, count: int) -> int:
+    """The mask of the window's positions that the sweep keeps: each of an
+    eq table without a check, and each that passes its table's check."""
+    kept = 0
+    for (_, check), on in zip(checks, _digit_masks(start, count, 1, len(checks))):
+        if check is None:
+            kept |= on
+        else:
+            kept |= sum(1 << k for k in _ones(on)
+                        if check(_position_cells(size, checks, start + k)))
+    return kept
+
+
+def _position_cells(size: int, checks, position: int) -> tuple[int, ...]:
+    """The cells of the model at a sweep position, kept or not: the digits
+    of its algebra's index in base size, the most significant first, then
+    its eq table's cells."""
+    algebra, table = divmod(position, len(checks))
+    digits = [0] * _algebra_cells(size)
+    for j in reversed(range(len(digits))):
+        algebra, digits[j] = divmod(algebra, size)
+    return (*digits, *checks[table][0])
+
+
+def _ones(mask: int):
+    """The positions of the set bits of mask, lowest first."""
+    bits = bin(mask)[:1:-1]  # bit k at position k
+    k = bits.find("1")
+    while k >= 0:
+        yield k
+        k = bits.find("1", k + 1)
 
 
 def _apply(table, left: tuple, right: tuple) -> tuple:
@@ -935,21 +1005,18 @@ LAWS = {
 FAMILIES = tuple(LAWS)
 
 
-def _violations(cases, c: _Chunk, flat: bytes) -> list[Violation]:
-    """The violations of the cases in chunk c, in (model, case) order; an
-    Interpretation is built only for a model that breaks a case."""
+def _violations(cases, c: _Chunk, kept: int, checks, start: int) -> list[Violation]:
+    """The violations of the cases at the kept positions of chunk c, whose
+    window starts at start, in (model, case) order; an Interpretation is
+    built only for a model that breaks a case."""
     hits = []  # (model, case, detail)
     for i, (_, case) in enumerate(cases):
         for mask, detail in case(c):
-            bits = bin(mask)[:1:-1]  # bit k at position k
-            k = bits.find("1")
-            while k >= 0:
-                hits.append((k, i, detail))
-                k = bits.find("1", k + 1)
-    width, found, last = _width(c.size), [], None
+            hits += ((k, i, detail) for k in _ones(mask & kept))
+    found, last = [], None
     for k, i, detail in sorted(hits):
         if k != last:
-            last, m = k, _model(c.size, tuple(flat[k * width : (k + 1) * width]))
+            last, m = k, _model(c.size, _position_cells(c.size, checks, start + k))
         found.append(Violation(cases[i][0], m, detail))
     return found
 
@@ -967,9 +1034,10 @@ def metacheck(
     than FULL_SWEEP_LIMIT algebras raises ModelOptionError, as do an
     unknown family or mode and a bad budget.
 
-    The models come from _sweep in chunks of at most CHUNK, and each case
-    decides a whole chunk at once (see _Chunk); the violations come out in
-    sweep order, and within a model in case order."""
+    The sweep positions of each size come in windows of at most CHUNK, and
+    each case decides a whole window at once (see _Chunk); the violations
+    at the positions the sweep keeps come out in sweep order, and within a
+    model in case order.  A budget counts kept models."""
     families = tuple(families)
     for family in families:
         if family not in LAWS:
@@ -995,17 +1063,25 @@ def metacheck(
     exhausted = True
     reached = max_size
     for size in range(1, max_size + 1):
-        sweep = _sweep(size, eq_tables)
-        while True:
-            room = CHUNK if budget == "full" else min(CHUNK, budget - examined)
-            flat = bytes(itertools.chain.from_iterable(itertools.islice(sweep, room)))
-            if not flat:
-                break
-            examined += len(flat) // _width(size)
-            reached = size
-            violations += _violations(cases, _Chunk(size, flat, mode), flat)
-        if next(sweep, None) is not None:  # the budget ran out first
-            exhausted = False
+        checks = _eq_checks(size, eq_tables)
+        start, end = 0, size ** _algebra_cells(size) * len(checks)
+        while start < end and examined != budget:
+            count = min(CHUNK, end - start)
+            kept = _kept(size, checks, start, count)
+            if budget != "full" and kept.bit_count() > budget - examined:
+                # cut the window at its (budget - examined)-th kept position
+                count = next(itertools.islice(_ones(kept), budget - examined - 1, None)) + 1
+                kept &= (1 << count) - 1
+            if kept:
+                examined += kept.bit_count()
+                reached = size
+                c = _Chunk(size, count, _cell_masks(size, checks, start, count), mode)
+                violations += _violations(cases, c, kept, checks, start)
+            start += count
+        # any len(checks) positions in a row hold the identity table, which
+        # the sweep always keeps: so these are kept somewhere if the rest is
+        if start < end and _kept(size, checks, start, min(len(checks), end - start)):
+            exhausted = False  # the budget ran out first
             break
     return MetacheckReport(
         families=families,

@@ -39,6 +39,7 @@ from arithlab.models import (
     _apply_succ,
     _assignments,
     _Chunk,
+    _cell_masks,
     _chain_case,
     _closure,
     _collapse_case,
@@ -46,6 +47,7 @@ from arithlab.models import (
     _eq_checks,
     _equivalences,
     _evaluate,
+    _kept,
     _model,
     _points,
     _read,
@@ -55,6 +57,7 @@ from arithlab.models import (
     _sweep,
     _truth_case,
     _value,
+    _width,
 )
 from arithlab.syntax import (
     Add,
@@ -118,6 +121,15 @@ def test_parse_interpretation_errors():
     with pytest.raises(ModelError):
         parse_interpretation("size 2\nzero 0\nsucc 1 0\nfrob 1\n"
                              "add 0 1 / 1 0\nmul 0 0 / 0 1\neq identity\n")
+
+
+@pytest.mark.parametrize("row, line", [("eq 1 0 /\n 0 1", "line 7: '0'"),
+                                       ("eq 1 0\n/ 0 1", "line 7: '/'")])
+def test_a_row_on_a_line_of_its_own_is_named_by_its_line(row, line):
+    with pytest.raises(ModelError) as exc:
+        parse_interpretation(_GOOD.replace("eq identity", row))
+    assert str(exc.value) == (f"{line} is not a field name; "
+                              "a field's numbers stay on that field's line")
 
 
 def test_parse_interpretation_comments_and_identity():
@@ -375,8 +387,29 @@ def test_random_congruent_tables_are_congruences():
 
 
 def _flat(models) -> bytes:
-    """The cells of the models one after another, as metacheck reads a chunk."""
+    """The cells of the models one after another, one byte a cell."""
     return bytes(itertools.chain.from_iterable(models))
+
+
+def _spec_cells(size: int, flat: bytes) -> list:
+    """The spec of a chunk's cells: for the models of flat, a one-hot value
+    for each algebra cell and a mask for each eq cell, bit k for the k-th
+    model, read cell by cell from the bytes."""
+    width = _width(size)
+    last = len(flat) - width  # where the last model's cells start
+
+    def mask(cell: int, v: int) -> int:  # of the models whose cell holds v
+        digits = flat[last + cell :: -width]  # the last model's first
+        return int(digits.translate(b"0" * v + b"1" + b"0" * (255 - v)), 2)
+
+    cells: list = [tuple(mask(cell, v) for v in range(size))
+                   for cell in range(_algebra_cells(size))]
+    return cells + [mask(cell, 1) for cell in range(_algebra_cells(size), width)]
+
+
+def _spec_chunk(size: int, models, mode: str) -> _Chunk:
+    """A chunk of the models' cells, built through the spec."""
+    return _Chunk(size, len(models), _spec_cells(size, _flat(models)), mode)
 
 
 def _one_hot(value: tuple, k: int) -> int:
@@ -394,7 +427,7 @@ def test_reader_and_model_read_one_cell_layout(size):
     chunk = [(*(rng.randrange(size) for _ in range(_algebra_cells(size))),
               *(rng.randrange(2) for _ in range(size * size))) for _ in range(20)]
     for mode in MODES:
-        c = _Chunk(size, _flat(chunk), mode)
+        c = _spec_chunk(size, chunk, mode)
         assert c.full == 2 ** len(chunk) - 1
         for k, cells in enumerate(chunk):
             m = _model(size, cells)
@@ -408,6 +441,72 @@ def test_reader_and_model_read_one_cell_layout(size):
             assert [d for d in domain if c.image[d] >> k & 1] == sorted(numeral_image(m))
             assert [d for d in domain if c.points[d] >> k & 1] == sorted(_points(m, mode))
             assert [_one_hot(value, k) for value in c.const] == list(domain)
+
+
+def _positions(size: int, checks):
+    """The cells of every sweep position of a size, kept or not, and
+    whether the sweep keeps it: each algebra in product order, with each
+    eq table of the filter."""
+    for algebra in itertools.product(range(size), repeat=_algebra_cells(size)):
+        for eq, check in checks:
+            yield algebra + eq, check is None or check(algebra + eq)
+
+
+def _decoded(size: int, checks, position: int):
+    """What _positions gives at a position, from the position alone."""
+    algebra, table = divmod(position, len(checks))
+    cells, (eq, check) = _algebra_cells(size), checks[table]
+    digits = tuple(algebra // size ** (cells - 1 - j) % size for j in range(cells))
+    return digits + eq, check is None or check(digits + eq)
+
+
+_SLOTS = ("full", "zero", "succ", "add", "mul", "eq", "const", "image", "points", "outside")
+
+
+@pytest.mark.parametrize("eq_tables", ["identity", "congruent"])
+@pytest.mark.parametrize("size", [1, 2, 3])
+def test_a_window_of_sweep_positions_holds_its_models_cells(size, eq_tables):
+    # metacheck builds a chunk's cells and kept mask from its window of
+    # positions alone; they must be the spec's, read from the models' cells
+    rng, checks = random.Random(f"{size} {eq_tables}"), _eq_checks(size, eq_tables)
+    end = size ** _algebra_cells(size) * len(checks)
+    head = list(itertools.islice(_positions(size, checks), 3 * CHUNK))
+    assert [cells for cells, kept in head if kept] == list(
+        itertools.islice(_sweep(size, eq_tables), sum(kept for _, kept in head)))
+    windows = {(0, min(CHUNK, end)), (end - 1, 1)}
+    if size == 3:  # across the step of the most significant cell, zero
+        windows.add((3**21 * len(checks) - 3, 7))
+    for _ in range(6):  # mid-period starts near the head, deep ones, width 1
+        count = rng.choice((1, rng.randrange(1, CHUNK), CHUNK))
+        windows.add((rng.randrange(max(1, len(head) - count)), min(count, end)))
+        if size == 3:
+            windows.add((rng.randrange(2 * 3**21, end - count), count))
+    outcomes = set()
+    for start, count in sorted(windows):
+        window = head[start : start + count] if start + count <= len(head) else [
+            _decoded(size, checks, p) for p in range(start, start + count)]
+        models = [cells for cells, _ in window]
+        assert _kept(size, checks, start, count) == sum(
+            kept << k for k, (_, kept) in enumerate(window)), (start, count)
+        assert _cell_masks(size, checks, start, count) == \
+            _spec_cells(size, _flat(models)), (start, count)
+        for mode in MODES:
+            c = _Chunk(size, count, _cell_masks(size, checks, start, count), mode)
+            spec = _spec_chunk(size, models, mode)
+            assert [getattr(c, slot) for slot in _SLOTS] == \
+                [getattr(spec, slot) for slot in _SLOTS], (start, count, mode)
+        outcomes.update(kept for _, kept in window)
+    assert outcomes == ({True, False} if (size, eq_tables) == (3, "congruent") else {True})
+
+
+def test_positions_deep_in_size_3_decode_in_product_order():
+    # the test-local decoder agrees with the product at the head of the
+    # sweep, where both can be had; deep windows rest on it
+    checks = _eq_checks(3, "congruent")
+    head = itertools.islice(_positions(3, checks), 5000)
+    assert list(head) == [_decoded(3, checks, p) for p in range(5000)]
+    last = _decoded(3, checks, 3 ** _algebra_cells(3) * len(checks) - 1)
+    assert last == ((2,) * _algebra_cells(3) + (1,) * 9, True)
 
 
 # ------------------------------------------------------------ metacheck
@@ -618,41 +717,43 @@ def _direct_violations(sweep, families, mode):
     )
 
 
-def _thinned(monkeypatch, strides):
-    """Make metacheck sweep the cells of every strides[size]-th model, and
-    return that enumeration as models.  The spec of every case run on every
-    model costs about 3 ms a model for the ten families, so a full size-2
-    sweep would take 6 s a mode."""
+def _every(strides, sizes, eq_tables="identity"):
+    """Every strides[size]-th model of the sweep of each size.  The spec of
+    every case run on every model costs about 3 ms a model for the ten
+    families, so a full size-2 sweep would take 6 s a mode: the spec decides
+    these models alone."""
+    return itertools.chain(*(
+        itertools.islice(enumerate_interpretations(size, eq_tables), 0, None, strides[size])
+        for size in sizes))
 
-    def thinned(size, eq_tables="identity"):
-        return itertools.islice(_sweep(size, eq_tables), 0, None, strides[size])
 
-    monkeypatch.setattr("arithlab.models._sweep", thinned)
-    return lambda size, eq_tables="identity": map(
-        partial(_model, size), thinned(size, eq_tables))
+def _on(report, models) -> tuple:
+    """The violations of the report that name one of the models."""
+    models = set(models)
+    return tuple(v for v in report.violations if v.model in models)
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_memoised_metacheck_matches_every_case_run_directly(mode, monkeypatch):
-    thinned = _thinned(monkeypatch, {1: 1, 2: 7, 3: 97})
+def test_memoised_metacheck_matches_every_case_run_directly(mode):
+    strides = {1: 1, 2: 7, 3: 97}
     budget = 1 + 293 + 30  # all of sizes 1 and 2, then into size 3
-    report = metacheck(3, FAMILIES, mode, budget)
-    assert report.max_size == 3 and report.examined == budget
-    sweep = itertools.chain(thinned(1), thinned(2), thinned(3))
-    assert report.violations == _direct_violations(
-        itertools.islice(sweep, budget), FAMILIES, mode)
+    models = list(itertools.islice(_every(strides, (1, 2, 3)), budget))
+    # the sweep up to the last of those models
+    report = metacheck(3, FAMILIES, mode, 1 + 2048 + 97 * 29 + 1)
+    assert report.max_size == 3 and not report.exhausted
+    assert _on(report, models) == _direct_violations(models, FAMILIES, mode)
     if mode == "parameterized":
-        assert {v.family for v in report.violations} == {"A4", "substitution"}
+        assert {v.family for v in _on(report, models)} == {"A4", "substitution"}
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_memoised_congruent_metacheck_matches_every_case_run_directly(mode, monkeypatch):
-    thinned = _thinned(monkeypatch, {1: 1, 2: 5})
+def test_memoised_congruent_metacheck_matches_every_case_run_directly(mode):
     families = ("A1", "A2", "A3", "A4", "A5", "rules")
+    models = list(_every({1: 1, 2: 5}, (1, 2), "congruent"))
+    assert len(models) == 1 + 820
     report = metacheck(2, families, mode, eq_tables="congruent")
-    assert report.exhausted and report.examined == 1 + 820
-    sweep = itertools.chain(thinned(1, "congruent"), thinned(2, "congruent"))
-    assert report.violations == _direct_violations(sweep, families, mode)
+    assert report.exhausted and report.examined == 1 + 4096
+    assert _on(report, models) == _direct_violations(models, families, mode)
 
 
 def _sha256(report) -> str:
@@ -711,6 +812,29 @@ def test_a_budget_one_model_past_a_size_3_chunk_matches_the_spec():
     sweep = itertools.chain(*map(enumerate_interpretations, (1, 2, 3)))
     assert report.violations == _direct_violations(
         itertools.islice(sweep, budget), families, "parameterized")
+
+
+# the sha256 of str(report) for a size-3 sweep under the congruent filter,
+# where the sweep tests eq tables for congruence and keeps only some, as
+# metacheck gave it when it read the models' cells from the sweep itself
+FILTERED_SWEEP_SHA256 = {
+    6000: "06c8c33a941c1f4970e197d67e8e511c2ac77f08db129b1da3754c98a5637a2e",
+    20000: "a67b9e3b36e09e13a4d563f7678b5f9d6b529e74c8bd1b5e43dd2ce29fbcc6b6",
+}
+
+
+def test_a_filtered_size_3_sweep_keeps_its_reports():
+    families = ("A1", "A4", "substitution")
+    for budget, pinned in FILTERED_SWEEP_SHA256.items():
+        report = metacheck(3, families, "parameterized", budget, "congruent")
+        assert (report.examined, report.exhausted, report.max_size) == (budget, False, 3)
+        assert _sha256(report) == pinned, budget
+    # its size-3 models against the spec, on a short budget
+    report = metacheck(3, families, "parameterized", 1 + 4096 + 300, "congruent")
+    models = list(itertools.islice(enumerate_interpretations(3, "congruent"), 300))
+    assert len({m.eq for m in models}) == 5  # the three tested equivalences too
+    assert tuple(v for v in report.violations if v.model.size == 3) == \
+        _direct_violations(models, families, "parameterized")
 
 
 def _counted(calls: list, run):
@@ -816,7 +940,7 @@ def test_the_chunk_evaluator_matches_the_single_model_path(mode):
     terms += [parse_term("S(S(S(S(S(x2)))))"), parse_term(f"(num({10**12 + 1}) * x1)")]
     remapped = 0  # assigned values outside the points, read as zero
     for size, chunk in _chunks():
-        c, models = _Chunk(size, _flat(chunk), mode), [_model(size, cells) for cells in chunk]
+        c, models = _spec_chunk(size, chunk, mode), [_model(size, cells) for cells in chunk]
         env = {1: size - 1}  # x2 and x3 unassigned
         seen = {x: _remap(c, c.const[d]) for x, d in env.items()}
         remapped += sum(size - 1 not in _points(m, mode) for m in models)
@@ -839,7 +963,7 @@ def test_the_chunk_evaluator_takes_trees_nested_past_the_recursion_limit():
     # a sum and an antecedent chain 10**4 deep, which tarski and the
     # single-model term walk recurse on
     depth, models = 10**4, list(_sweep(2, "identity"))[::97]
-    c, x1 = _Chunk(2, _flat(models), "standard"), Var(1)
+    c, x1 = _spec_chunk(2, models, "standard"), Var(1)
     total, claim = x1, Eq(x1, Zero())
     for _ in range(depth):
         total, claim = Add(total, x1), Implies(claim, Eq(x1, Zero()))
@@ -853,7 +977,7 @@ def test_the_chunk_evaluator_takes_trees_nested_past_the_recursion_limit():
 
 
 def test_the_chunk_evaluator_names_a_non_tree():
-    c = _Chunk(1, bytes(_algebra_cells(1) + 1), "standard")
+    c = _spec_chunk(1, [(0,) * _width(1)], "standard")
     with pytest.raises(ArithlabError, match="^not a term or formula: "):
         _evaluate(c, Eq(Zero(), "x1"), {})
 
