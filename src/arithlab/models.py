@@ -25,27 +25,28 @@ evaluates pinned instance families, reporting every (interpretation,
 instance) pair on which an expected law breaks.
 
 A model's cells have one layout, _layout's: zero, succ[a], then the rows
-of add, mul and eq, one item a cell.  The sweep, the file reader, restrict
-and random_interpretation make models as cells, _model validates them
-through _layout, and the chunks and the congruence test read it too.
+of add, mul and eq, one item a cell.  The file reader, restrict and
+random_interpretation make models as cells, _model validates them
+through _layout, and the sweep's windows read it too.
 
 Each family in LAWS is a tuple of cases, one per pinned item, parsed
 from text at import; the thirty items of the collapse family are
 COLLAPSE_CASES.  Their closures, bodies and variable lists are prepared
 when LAWS is built (chain alone builds its numeral instances, which
-depend on the size).  metacheck does not walk the sweep model by model.
-A size's sweep positions are its (algebra, eq table) pairs in _sweep's
-order, and metacheck takes them in windows of at most CHUNK positions.
-It builds each window's cells from the window's start and width alone,
-as periodic bit patterns, with the mask of the positions the sweep
-keeps, and decides each case on the whole window at once, one bit a
-position: each cell is a one-hot tuple of ints, bit k of entry v set
-where the window's k-th position has the value v in that cell, so that
-one walk of a formula (_evaluate) gives the mask of every position where
-it holds.  A case that names an assignment names, for each model, the
-first at which it breaks.  Reports and budgets are those of deciding
-every case on every kept model in sweep order, and an Interpretation is
-built only for a model that a violation names, from its position.
+depend on the size).  A size's sweep positions are its (algebra, eq
+table) pairs, algebra-major; metacheck and enumerate_interpretations
+take them in the same windows of at most CHUNK.  A window's cells are
+built from its start and width alone, as periodic bit patterns: each
+cell is a one-hot tuple of ints, bit k of entry v set where the window's
+k-th position has the value v in that cell.  One mask test on them
+(_kept) keeps the positions whose eq table is a congruence, and one walk
+of a formula (_evaluate) gives the mask of every position where it
+holds, so metacheck decides each case on a whole window at once.  A case
+that names an assignment names, for each model, the first at which it
+breaks.  Reports and budgets are those of deciding every case on every
+kept model in sweep order.  A position is decoded to an Interpretation
+only for a model that a violation names or enumerate_interpretations
+yields.
 """
 
 from __future__ import annotations
@@ -393,8 +394,14 @@ def enumerate_interpretations(size: int, eq_tables: str = "identity"):
     eq_tables selects the equality tables paired with each algebra:
     "identity" yields normal interpretations only, "congruent" also
     yields every non-identity equivalence relation compatible with the
-    operation tables.  Each is built and validated from _sweep's cells."""
-    return map(partial(_model, size), _sweep(size, eq_tables))
+    operation tables.  They come from metacheck's windows of sweep
+    positions, each kept position's model built from its cells."""
+    checks = _eq_checks(size, eq_tables)
+    end = size ** _algebra_cells(size) * len(checks)
+    for start in range(0, end, CHUNK):
+        count = min(CHUNK, end - start)
+        for k in _ones(_kept(size, checks, _cell_masks(size, checks, start, count), start, count)):
+            yield _model(size, _position_cells(size, checks, start + k))
 
 
 def _algebra_cells(size: int) -> int:  # the cells before eq's, see _layout
@@ -418,27 +425,25 @@ def _model(size: int, cells: tuple[int, ...]) -> Interpretation:
     return Interpretation(size, *_layout(size, cells))
 
 
-def _sweep(size: int, eq_tables: str):
-    """The cells of every interpretation of the given size: each algebra in
-    product order, with each eq table of the filter that is a congruence."""
-    checks = _eq_checks(size, eq_tables)
-    for algebra in itertools.product(range(size), repeat=_algebra_cells(size)):
-        for eq, check in checks:
-            cells = algebra + eq
-            if check is None or check(cells):
-                yield cells
-
-
-def _eq_checks(size: int, eq_tables: str) -> list[tuple[tuple[int, ...], object]]:
-    """The eq cells a filter offers, identity or every equivalence, each
-    with the test of a model's cells that keeps it: none for identity and
-    the total relation, which every algebra respects, and the congruence
-    test for any other."""
+def _eq_checks(size: int, eq_tables: str) -> list[tuple[tuple[int, ...], tuple]]:
+    """The eq tables a filter offers, identity or every equivalence, each
+    as its cells with the pairs (i, j) of algebra cells whose values it
+    must relate to be a congruence: for each pair a < b of elements it
+    relates, the cells that take a and the cells that take b in the same
+    place.  Identity and the total relation, which every algebra respects,
+    have no pairs."""
     if eq_tables not in ("identity", "congruent"):
         raise ModelOptionError(f"unknown eq_tables filter {eq_tables!r}")
     tables = _equivalences(size) if eq_tables == "congruent" else [identity_eq(size)]
-    congruence, respected = _congruence_test(size), (identity_eq(size), ((1,) * size,) * size)
-    return [(tuple(itertools.chain(*eq)), None if eq in respected else congruence)
+    _, succ, add, mul, _ = _layout(size, range(_width(size)))
+
+    def uses(x):  # the cells that take x as an argument, in a fixed order
+        return (succ[x], *add[x], *mul[x], *(row[x] for row in add + mul))
+
+    respected = (identity_eq(size), ((1,) * size,) * size)
+    return [(tuple(itertools.chain(*eq)), () if eq in respected else tuple(
+                pair for a, b in itertools.combinations(range(size), 2) if eq[a][b]
+                for pair in zip(uses(a), uses(b))))
             for eq in tables]
 
 
@@ -453,21 +458,6 @@ def _equivalences(size: int) -> list[tuple[tuple[int, ...], ...]]:
     })
 
 
-def _congruence_test(size: int):
-    """A test of a model's cells: whether eq, an equivalence (so reflexive),
-    relates the values of succ, add and mul at related distinct arguments."""
-    _, succ, add, mul, eq = _layout(size, range(_width(size)))
-
-    def uses(x):  # the cells that take x as an argument, in a fixed order
-        return (succ[x], *add[x], *mul[x], *(row[x] for row in add + mul))
-
-    checks = [(eq[a][b], tuple(zip(uses(a), uses(b))))
-              for a, b in itertools.product(range(size), repeat=2) if a != b]
-    return lambda cells: all(
-        cells[eq[cells[i]][cells[j]]]
-        for related, pairs in checks if cells[related] for i, j in pairs)
-
-
 def random_interpretation(
     rng, size: int, eq_tables: str = "identity"
 ) -> Interpretation:
@@ -478,7 +468,10 @@ def random_interpretation(
     # one draw a cell: succ, the rows of add and mul, then zero last
     *ops, zero = (rng.randrange(size) for _ in range(_algebra_cells(size)))
     algebra = (zero, *ops)
-    options = [algebra + eq for eq, check in checks if check is None or check(algebra + eq)]
+    # the algebra's cells as a window of one position, at bit 0; the window
+    # that starts at position t holds table t
+    cells = [tuple(int(v == d) for d in range(size)) for v in algebra]
+    options = [algebra + eq for t, (eq, _) in enumerate(checks) if _kept(size, checks, cells, t, 1)]
     return _model(size, rng.choice(options) if eq_tables == "congruent" else options[0])
 
 
@@ -715,12 +708,12 @@ class _Chunk:
         self.outside = tuple(self.full ^ p for p in self.points)
 
 
-# A size's sweep positions are its (algebra, eq table) pairs in _sweep's
-# order, kept or not: position p holds eq table p % n of the filter's n, and
-# its algebra's cells are the digits of p // n in base size, cell 0 the
-# most significant.  So the mask of the positions in a window where a cell
-# holds v is periodic, and a chunk's cells are built from its window's
-# start and count alone.
+# A size's sweep positions are its (algebra, eq table) pairs, kept or not:
+# position p holds eq table p % n of the filter's n, and its algebra's cells
+# are the digits of p // n in base size, cell 0 the most significant.  So
+# the mask of the positions in a window where a cell holds v is periodic, a
+# window's cells are built from its start and count alone, and the mask of
+# the positions the sweep keeps is read from those cells.
 
 
 def _digit_masks(start: int, count: int, run: int, base: int) -> tuple[int, ...]:
@@ -755,23 +748,25 @@ def _cell_masks(size: int, checks, start: int, count: int) -> list:
                     for e in range(size * size)]
 
 
-def _kept(size: int, checks, start: int, count: int) -> int:
-    """The mask of the window's positions that the sweep keeps: each of an
-    eq table without a check, and each that passes its table's check."""
+def _kept(size: int, checks, cells: list, start: int, count: int) -> int:
+    """The mask of the window's positions that the sweep keeps, read from
+    the window's cells (_cell_masks'): each position of a table without
+    pairs, and each position of another table E where, for each of E's
+    pairs (i, j), E relates the values of cells i and j."""
     kept = 0
-    for (_, check), on in zip(checks, _digit_masks(start, count, 1, len(checks))):
-        if check is None:
-            kept |= on
-        else:
-            kept |= sum(1 << k for k in _ones(on)
-                        if check(_position_cells(size, checks, start + k)))
+    for (eq, pairs), on in zip(checks, _digit_masks(start, count, 1, len(checks))):
+        if pairs and on:  # a window holds some tables only
+            related = [divmod(e, size) for e, holds in enumerate(eq) if holds]
+            for i, j in pairs:  # one-hot cells, so the terms are disjoint
+                on &= sum(cells[i][u] & cells[j][v] for u, v in related)
+        kept |= on
     return kept
 
 
 def _position_cells(size: int, checks, position: int) -> tuple[int, ...]:
-    """The cells of the model at a sweep position, kept or not: the digits
-    of its algebra's index in base size, the most significant first, then
-    its eq table's cells."""
+    """The cells of the model at a sweep position: the digits of its
+    algebra's index in base size, the most significant first, then its eq
+    table's cells.  Decoded only for a violator or an enumerated model."""
     algebra, table = divmod(position, len(checks))
     digits = [0] * _algebra_cells(size)
     for j in reversed(range(len(digits))):
@@ -1067,21 +1062,22 @@ def metacheck(
         start, end = 0, size ** _algebra_cells(size) * len(checks)
         while start < end and examined != budget:
             count = min(CHUNK, end - start)
-            kept = _kept(size, checks, start, count)
+            cells = _cell_masks(size, checks, start, count)
+            c, kept = _Chunk(size, count, cells, mode), _kept(size, checks, cells, start, count)
             if budget != "full" and kept.bit_count() > budget - examined:
-                # cut the window at its (budget - examined)-th kept position
+                # cut the window at its (budget - examined)-th kept position;
+                # c holds the whole window, and is read at kept positions only
                 count = next(itertools.islice(_ones(kept), budget - examined - 1, None)) + 1
                 kept &= (1 << count) - 1
             if kept:
                 examined += kept.bit_count()
                 reached = size
-                c = _Chunk(size, count, _cell_masks(size, checks, start, count), mode)
                 violations += _violations(cases, c, kept, checks, start)
             start += count
-        # any len(checks) positions in a row hold the identity table, which
-        # the sweep always keeps: so these are kept somewhere if the rest is
-        if start < end and _kept(size, checks, start, min(len(checks), end - start)):
-            exhausted = False  # the budget ran out first
+        # a size's last position holds a table without pairs, which is kept:
+        # so positions left mean the budget ran out first
+        exhausted = start == end
+        if not exhausted:
             break
     return MetacheckReport(
         families=families,

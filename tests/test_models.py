@@ -50,11 +50,11 @@ from arithlab.models import (
     _kept,
     _model,
     _points,
+    _position_cells,
     _read,
     _remap,
     _semantics,
     _substitution_case,
-    _sweep,
     _truth_case,
     _value,
     _width,
@@ -445,58 +445,74 @@ def test_reader_and_model_read_one_cell_layout(size):
 
 def _positions(size: int, checks):
     """The cells of every sweep position of a size, kept or not, and
-    whether the sweep keeps it: each algebra in product order, with each
-    eq table of the filter."""
+    whether the sweep keeps it, by the definition of a congruence: each
+    algebra in product order, with each eq table of the filter."""
     for algebra in itertools.product(range(size), repeat=_algebra_cells(size)):
-        for eq, check in checks:
-            yield algebra + eq, check is None or check(algebra + eq)
+        for eq, _ in checks:
+            yield algebra + eq, _is_congruence_by_definition(_model(size, algebra + eq))
+
+
+def _sweep(size: int, eq_tables: str):
+    """The spec of the sweep: the cells of every model of a size, each
+    algebra in product order with each eq table of the filter that is a
+    congruence of it."""
+    return (cells for cells, kept in _positions(size, _eq_checks(size, eq_tables)) if kept)
 
 
 def _decoded(size: int, checks, position: int):
     """What _positions gives at a position, from the position alone."""
     algebra, table = divmod(position, len(checks))
-    cells, (eq, check) = _algebra_cells(size), checks[table]
-    digits = tuple(algebra // size ** (cells - 1 - j) % size for j in range(cells))
-    return digits + eq, check is None or check(digits + eq)
+    width = _algebra_cells(size)
+    cells = tuple(algebra // size ** (width - 1 - j) % size for j in range(width)) + checks[table][0]
+    return cells, _is_congruence_by_definition(_model(size, cells))
 
 
 _SLOTS = ("full", "zero", "succ", "add", "mul", "eq", "const", "image", "points", "outside")
 
 
-@pytest.mark.parametrize("eq_tables", ["identity", "congruent"])
-@pytest.mark.parametrize("size", [1, 2, 3])
+@pytest.mark.parametrize("size, eq_tables", [
+    (1, "identity"), (1, "congruent"), (2, "identity"), (2, "congruent"),
+    (3, "identity"), (3, "congruent"), (4, "congruent")])
 def test_a_window_of_sweep_positions_holds_its_models_cells(size, eq_tables):
-    # metacheck builds a chunk's cells and kept mask from its window of
-    # positions alone; they must be the spec's, read from the models' cells
+    # metacheck builds a chunk's cells from its window of positions alone,
+    # and reads the kept mask from those cells; they must be the spec's, read
+    # from the models' cells and decided by the definition of a congruence.
+    # Size 4 has 15 eq tables, 13 of them tested.
     rng, checks = random.Random(f"{size} {eq_tables}"), _eq_checks(size, eq_tables)
     end = size ** _algebra_cells(size) * len(checks)
     head = list(itertools.islice(_positions(size, checks), 3 * CHUNK))
-    assert [cells for cells, kept in head if kept] == list(
-        itertools.islice(_sweep(size, eq_tables), sum(kept for _, kept in head)))
+    spec = list(map(partial(_model, size),
+                    itertools.islice(_sweep(size, eq_tables), sum(kept for _, kept in head))))
+    assert list(itertools.islice(enumerate_interpretations(size, eq_tables), len(spec))) == spec
     windows = {(0, min(CHUNK, end)), (end - 1, 1)}
     if size == 3:  # across the step of the most significant cell, zero
         windows.add((3**21 * len(checks) - 3, 7))
-    for _ in range(6):  # mid-period starts near the head, deep ones, width 1
+    for _ in range(6 if size < 4 else 3):  # mid-period starts near the head, deep ones, width 1
         count = rng.choice((1, rng.randrange(1, CHUNK), CHUNK))
         windows.add((rng.randrange(max(1, len(head) - count)), min(count, end)))
-        if size == 3:
-            windows.add((rng.randrange(2 * 3**21, end - count), count))
-    outcomes = set()
+        if size >= 3:
+            windows.add((rng.randrange(2 * size ** (_algebra_cells(size) - 1), end - count), count))
+    if size == 4:
+        windows.add((end - CHUNK, CHUNK))
+    outcomes, mixed = set(), 0  # mixed: windows with kept and dropped positions of tested tables
     for start, count in sorted(windows):
         window = head[start : start + count] if start + count <= len(head) else [
             _decoded(size, checks, p) for p in range(start, start + count)]
         models = [cells for cells, _ in window]
-        assert _kept(size, checks, start, count) == sum(
+        cells = _cell_masks(size, checks, start, count)
+        assert _kept(size, checks, cells, start, count) == sum(
             kept << k for k, (_, kept) in enumerate(window)), (start, count)
-        assert _cell_masks(size, checks, start, count) == \
-            _spec_cells(size, _flat(models)), (start, count)
+        assert cells == _spec_cells(size, _flat(models)), (start, count)
         for mode in MODES:
-            c = _Chunk(size, count, _cell_masks(size, checks, start, count), mode)
+            c = _Chunk(size, count, cells, mode)
             spec = _spec_chunk(size, models, mode)
             assert [getattr(c, slot) for slot in _SLOTS] == \
                 [getattr(spec, slot) for slot in _SLOTS], (start, count, mode)
         outcomes.update(kept for _, kept in window)
-    assert outcomes == ({True, False} if (size, eq_tables) == (3, "congruent") else {True})
+        mixed += len({kept for p, (_, kept) in enumerate(window, start)
+                      if checks[p % len(checks)][1]}) == 2
+    assert outcomes == ({True, False} if size >= 3 and eq_tables == "congruent" else {True})
+    assert bool(mixed) == (size >= 3 and eq_tables == "congruent")
 
 
 def test_positions_deep_in_size_3_decode_in_product_order():
@@ -1003,21 +1019,50 @@ def test_the_sweep_tests_only_the_eq_tables_an_algebra_may_break():
     # every algebra respects identity and the total relation, so the sweep
     # tests the other equivalences alone; sizes 1 and 2 have no other, and
     # test_enumeration_order_is_that_of_nested_loops_over_the_tables checks
-    # their sweeps against the definition
+    # their sweeps against the definition.  Each table is tested here on a
+    # window of one position, the one that holds it, whose cells are those
+    # of a drawn algebra, each one-hot at bit 0
     rng = random.Random(5)
     checks = _eq_checks(3, "congruent")
-    assert [eq for eq, check in checks if check is None] == [_IDENTITY_3, (1,) * 9]
+    assert [eq for eq, pairs in checks if not pairs] == [_IDENTITY_3, (1,) * 9]
     outcomes = set()
-    for eq, check in checks:
+    for t, (eq, pairs) in enumerate(checks):
         table = _model(3, (0,) * _algebra_cells(3) + eq).eq
+        if not pairs:  # kept without a cell read
+            assert _kept(3, checks, [], t, 1) == 1
         for _ in range(100):
             for algebra in (tuple(rng.randrange(3) for _ in range(_algebra_cells(3))),
                             _respecting(rng, 3, table)):
-                cells = algebra + eq
-                kept = check is None or check(cells)
-                assert kept == _is_congruence_by_definition(_model(3, cells))
+                cells = [tuple(int(v == d) for d in range(3)) for v in algebra]
+                kept = _kept(3, checks, cells, t, 1) == 1
+                assert kept == _is_congruence_by_definition(_model(3, algebra + eq))
                 outcomes.add(kept)
     assert outcomes == {False, True}
+
+
+def test_a_sizes_last_position_holds_an_untested_table():
+    # so it is always kept, and metacheck's report is exhausted just when no
+    # position of the size is left
+    for size in (1, 2, 3, 4):
+        for eq_tables in ("identity", "congruent"):
+            checks = _eq_checks(size, eq_tables)
+            eq, pairs = checks[-1]
+            assert pairs == () and eq == (
+                tuple(itertools.chain(*identity_eq(size))) if eq_tables == "identity"
+                else (1,) * size * size)
+            last = size ** _algebra_cells(size) * len(checks) - 1
+            assert _kept(size, checks, _cell_masks(size, checks, last, 1), last, 1) == 1
+
+
+def test_a_sweep_without_violations_decodes_no_position(monkeypatch):
+    # the kept mask is read from the window's cells, so no position is
+    # decoded but a violator's
+    decoded = []
+    monkeypatch.setattr("arithlab.models._position_cells",
+                        lambda *args: decoded.append(args) or _position_cells(*args))
+    report = metacheck(3, ("A1",), "standard", 20000, "congruent")
+    assert (report.examined, report.violations) == (20000, ())
+    assert decoded == []
 
 
 def test_successor_powers_match_stepping_one_at_a_time():
